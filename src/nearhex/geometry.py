@@ -76,8 +76,7 @@ class Geometry:
     def adjacency(self) -> tuple[int, ...]:
         """Bitmask of neighbours (collinear points, self excluded) per point."""
         adj = [0] * self.point_count
-        for line in self.lines:
-            lm = mask_of(line)
+        for line, lm in zip(self.lines, self.line_masks):
             for p in line:
                 adj[p] |= lm
         return tuple(adj[p] & ~(1 << p) for p in range(self.point_count))
@@ -89,6 +88,11 @@ class Geometry:
             for p in line:
                 through[p].append(i)
         return tuple(tuple(t) for t in through)
+
+    @cached_property
+    def line_masks(self) -> tuple[int, ...]:
+        """Bitmask of each line, in the order of ``lines``."""
+        return tuple(mask_of(line) for line in self.lines)
 
     @cached_property
     def line_set(self) -> frozenset[tuple[int, ...]]:
@@ -108,27 +112,41 @@ class Geometry:
         return out
 
     @cached_property
-    def distance_rows(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs collinearity-graph distances (UNREACHABLE when disconnected)."""
+    def distance_spheres(self) -> tuple[tuple[int, ...], ...]:
+        """Per point, its BFS layers in the collinearity graph as bitmasks.
+
+        ``distance_spheres[p][k]`` is the set of points at distance ``k`` from
+        ``p``; the layers stop at the farthest reachable point, so points in
+        no layer are unreachable from ``p``.
+        """
         adj = self.adjacency
         full = self.full_mask
-        rows = []
+        spheres = []
         for s in range(self.point_count):
-            dist = [UNREACHABLE] * self.point_count
-            dist[s] = 0
-            seen = 1 << s
-            frontier = 1 << s
-            d = 0
-            while frontier and seen != full:
+            seen = frontier = 1 << s
+            layers = [frontier]
+            while seen != full:
                 nxt = 0
                 for v in bits_of(frontier):
                     nxt |= adj[v]
                 nxt &= ~seen
-                d += 1
-                for v in bits_of(nxt):
-                    dist[v] = d
+                if not nxt:
+                    break
+                layers.append(nxt)
                 seen |= nxt
                 frontier = nxt
+            spheres.append(tuple(layers))
+        return tuple(spheres)
+
+    @cached_property
+    def distance_rows(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs collinearity-graph distances (UNREACHABLE when disconnected)."""
+        rows = []
+        for layers in self.distance_spheres:
+            dist = [UNREACHABLE] * self.point_count
+            for d, layer in enumerate(layers):
+                for v in bits_of(layer):
+                    dist[v] = d
             rows.append(tuple(dist))
         return tuple(rows)
 
@@ -215,21 +233,17 @@ def distances(g: Geometry, x: int) -> DistanceTable:
 
 def metrics(g: Geometry) -> Metrics:
     """Connectivity flag plus the largest finite distance."""
-    diameter = 0
-    connected = g.point_count > 0
-    for row in g.distance_rows:
-        m = max(row) if row else 0
-        if UNREACHABLE in row:
-            connected = False
-        diameter = max(diameter, m)
+    spheres = g.distance_spheres
+    # the layers are disjoint, and one point reaches all iff every point does
+    connected = g.point_count > 0 and sum(spheres[0]) == g.full_mask
+    diameter = max((len(layers) - 1 for layers in spheres), default=0)
     return Metrics(connected, diameter)
 
 
 def is_subspace(g: Geometry, points: Iterable[int]) -> bool:
     """True iff every line meeting the set in >= 2 points lies inside it."""
     m = mask_of(_check_points(g, points))
-    for line in g.lines:
-        lm = mask_of(line)
+    for lm in g.line_masks:
         inter = lm & m
         if inter and inter != (inter & -inter) and lm & ~m:
             return False
@@ -243,51 +257,62 @@ def is_geometric_hyperplane(g: Geometry, points: Iterable[int]) -> bool:
         return False
     if not is_subspace(g, bits_of(m)):
         return False
-    return all(mask_of(line) & m for line in g.lines)
+    return all(lm & m for lm in g.line_masks)
 
 
 def convex_closure(g: Geometry, points: Iterable[int]) -> frozenset[int]:
     """Smallest convex subspace containing the given points.
 
     Iterates two expansion rules to a fixed point: add every point on a
-    geodesic between two members, and complete every line that already has
-    two members.  Line completion is required: closing under geodesics alone
-    stalls on sets (4-cycles and the like) that are metrically convex but
-    carry no full line, and those are useless for quad classification.
+    geodesic between two members, and complete every line that has two
+    members -- every such line, so that the result is a subspace even when
+    two points share several lines.  Line completion is required: closing
+    under geodesics alone stalls on sets (4-cycles and the like) that are
+    metrically convex but carry no full line, and those are useless for
+    quad classification.
+
+    Both rules run on whole sets, and each round looks only at the points
+    the previous round added.  A point outside the set with two member
+    neighbours joins if it completes a line with two members or is a common
+    neighbour of two non-collinear members (the geodesics of distance-2
+    pairs); a member pair at distance ``d >= 3`` adds its interval, the union
+    of ``S_k(a) & S_{d-k}(b)`` over the distance spheres.
     """
     pts = _check_points(g, points)
     if not pts:
         raise GeometryError("closure of an empty set is undefined")
     adj = g.adjacency
-    rows = None
-    m = mask_of(pts)
-    while True:
-        add = 0
-        members = list(bits_of(m))
-        for i, a in enumerate(members):
-            ra = None
-            for b in members[i + 1 :]:
-                if adj[a] >> b & 1:
-                    line = g.lines[g.pair_line[(a, b)]]
-                    add |= mask_of(line)
-                elif adj[a] & adj[b]:
-                    add |= adj[a] & adj[b]
-                else:
-                    # distance 3 or more (or disconnected): full interval scan
-                    if rows is None:
-                        rows = g.distance_rows
-                    if ra is None:
-                        ra = rows[a]
-                    rb = rows[b]
-                    d = ra[b]
-                    if d == UNREACHABLE:
-                        continue
-                    for z in range(g.point_count):
-                        if ra[z] != UNREACHABLE and ra[z] + rb[z] == d:
-                            add |= 1 << z
-        if add & ~m == 0:
-            return frozenset(bits_of(m))
-        m |= add
+    through = g.lines_by_point
+    line_masks = g.line_masks
+    spheres = g.distance_spheres
+    m = once = twice = 0
+    new = mask_of(pts)
+    while new:
+        m |= new
+        add = touched = 0
+        for a in bits_of(new):
+            na = adj[a]
+            twice |= once & na
+            once |= na
+            touched |= na
+            for li in through[a]:
+                inter = line_masks[li] & m
+                if inter & (inter - 1):
+                    add |= line_masks[li]
+            layers = spheres[a]
+            for d in range(3, len(layers)):
+                for b in bits_of(layers[d] & m):
+                    far = spheres[b]
+                    for k in range(d + 1):
+                        add |= layers[k] & far[d - k]
+        for z in bits_of(touched & twice & ~m & ~add):
+            nz = adj[z] & m
+            for a in bits_of(nz):
+                if nz & ~adj[a] & ~(1 << a):
+                    add |= 1 << z
+                    break
+        new = add & ~m
+    return frozenset(bits_of(m))
 
 
 def induced_geometry(g: Geometry, points: Iterable[int]) -> Geometry:
@@ -297,8 +322,8 @@ def induced_geometry(g: Geometry, points: Iterable[int]) -> Geometry:
     m = mask_of(pts)
     lines = [
         tuple(remap[p] for p in line)
-        for line in g.lines
-        if mask_of(line) & ~m == 0
+        for line, lm in zip(g.lines, g.line_masks)
+        if lm & ~m == 0
     ]
     labels = tuple(g.labels[p] for p in pts) if g.labels is not None else None
     return Geometry(len(pts), tuple(lines), labels)

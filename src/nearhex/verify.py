@@ -9,11 +9,14 @@ against the line structure, so the two sides stay independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, NamedTuple
 
 from .geometry import (
+    UNREACHABLE,
     Geometry,
     GeometryError,
+    bits_of,
     convex_closure,
     induced_geometry,
     mask_of,
@@ -35,24 +38,28 @@ class ParameterSummary:
     slim: bool
 
 
+def _distance_two_pairs(g: Geometry):
+    """Yield ``(x, y, common)`` for each pair ``x < y`` at distance 2, with
+    its number of common neighbours; ``y`` is read from the sphere S_2(x)."""
+    adj = g.adjacency
+    for x, layers in enumerate(g.distance_spheres):
+        if len(layers) > 2:
+            for y in bits_of(layers[2] >> (x + 1) << (x + 1)):
+                yield x, y, (adj[x] & adj[y]).bit_count()
+
+
 def parameters(g: Geometry) -> ParameterSummary:
     """Exact census of sizes, degrees, t2 values, diameter and density.
 
     t2 is reported as the set of observed values because it may genuinely
     depend on the pair (the 105-point hexagon has both 1 and 2).
     """
-    adj = g.adjacency
-    rows = g.distance_rows
     t2 = set()
     dense = True
-    for x in range(g.point_count):
-        row = rows[x]
-        for y in range(x + 1, g.point_count):
-            if row[y] == 2:
-                common = (adj[x] & adj[y]).bit_count()
-                t2.add(common - 1)
-                if common < 2:
-                    dense = False
+    for _, _, common in _distance_two_pairs(g):
+        t2.add(common - 1)
+        if common < 2:
+            dense = False
     connected, diameter = metrics(g)
     line_sizes = frozenset(len(line) for line in g.lines)
     return ParameterSummary(
@@ -74,37 +81,65 @@ class NpVerdict(NamedTuple):
 
 def check_np(g: Geometry) -> NpVerdict:
     """Near-polygon axiom: every point off a line has a unique nearest point
-    on it.  Raises for disconnected geometries, where distance is undefined."""
+    on it.  Raises for disconnected geometries, where distance is undefined.
+
+    Each line is tested whole: at distance level ``k`` the points first
+    reached by some line point's sphere ``S_k`` are nearest to the line at
+    ``k``, and those reached by two of them violate the axiom.  The witness
+    is the lowest such point on the lowest-indexed failing line.
+    """
     if not metrics(g).connected:
         raise GeometryError("near-polygon check requires a connected geometry")
-    rows = g.distance_rows
+    spheres = g.distance_spheres
     for li, line in enumerate(g.lines):
-        pts = tuple(line)
-        for x in range(g.point_count):
-            if x in pts:
-                continue
-            row = rows[x]
-            ds = [row[p] for p in pts]
-            if ds.count(min(ds)) != 1:
-                return NpVerdict(False, (x, li))
+        line_spheres = [spheres[p] for p in line]
+        seen = bad = 0
+        for level in count():
+            once = twice = 0
+            for layers in line_spheres:
+                if level < len(layers):
+                    fresh = layers[level] & ~seen
+                    twice |= once & fresh
+                    once |= fresh
+            if not once:
+                break
+            bad |= twice
+            seen |= once
+        if bad:
+            return NpVerdict(False, ((bad & -bad).bit_length() - 1, li))
     return NpVerdict(True, None)
 
 
 def line_distance_profiles(
     g: Geometry, line_indices: Iterable[int] | None = None
 ) -> dict[tuple[int, ...], int]:
-    """Census of sorted distance multisets from external points to lines."""
-    rows = g.distance_rows
+    """Census of sorted distance multisets from external points to lines.
+
+    The points off a line are split by sphere membership, one line point
+    after another, so each group shares one profile; points a line point
+    cannot reach get the entry UNREACHABLE.
+    """
+    spheres = g.distance_spheres
+    full = g.full_mask
     indices = range(len(g.lines)) if line_indices is None else line_indices
     out: dict[tuple[int, ...], int] = {}
     for li in indices:
-        pts = tuple(g.lines[li])
-        for x in range(g.point_count):
-            if x in pts:
-                continue
-            row = rows[x]
-            profile = tuple(sorted(row[p] for p in pts))
-            out[profile] = out.get(profile, 0) + 1
+        groups = [((), full & ~g.line_masks[li])]
+        for p in g.lines[li]:
+            split = []
+            for profile, rest in groups:
+                for d, layer in enumerate(spheres[p]):
+                    part = rest & layer
+                    if part:
+                        split.append((profile + (d,), part))
+                        rest ^= part
+                if rest:
+                    split.append((profile + (UNREACHABLE,), rest))
+            groups = split
+        # count in order of each group's lowest point, as a point scan would
+        for profile, members in sorted(groups, key=lambda group: group[1] & -group[1]):
+            key = tuple(sorted(profile))
+            out[key] = out.get(key, 0) + members.bit_count()
     return out
 
 
@@ -136,20 +171,20 @@ def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
 
 def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """Convex closures of all distance-2 pairs with >= 2 common neighbours,
-    deduplicated and classified."""
+    deduplicated and classified.
+
+    Every such pair is closed, also when it lies in a quad already found:
+    skipping it would assume the uniqueness of quads that this checks.
+    """
     if not check_np(g).ok:
         raise GeometryError("quad enumeration expects a near polygon")
-    adj = g.adjacency
-    rows = g.distance_rows
     seen: dict[frozenset[int], QuadRecord] = {}
-    for x in range(g.point_count):
-        row = rows[x]
-        for y in range(x + 1, g.point_count):
-            if row[y] != 2 or (adj[x] & adj[y]).bit_count() < 2:
-                continue
-            pts = convex_closure(g, (x, y))
-            if pts not in seen:
-                seen[pts] = _classify_quad(g, pts)
+    for x, y, common in _distance_two_pairs(g):
+        if common < 2:
+            continue
+        pts = convex_closure(g, (x, y))
+        if pts not in seen:
+            seen[pts] = _classify_quad(g, pts)
     return sorted(seen.values(), key=lambda r: sorted(r.points))
 
 

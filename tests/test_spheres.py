@@ -1,0 +1,196 @@
+"""Distance spheres and the set-level routines built on them, checked against
+row-based and brute-force definitions on small random geometries.
+
+The random geometries have at most 8 points and lines of 2 to 4 points, so
+they include disconnected spaces and spaces where two points share several
+lines (not partial linear spaces).
+"""
+
+from collections import deque
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nearhex.verify
+from nearhex import (
+    Geometry,
+    GeometryError,
+    check_np,
+    convex_closure,
+    enumerate_quads,
+    is_subspace,
+    line_distance_profiles,
+    validate_pls,
+)
+from nearhex.geometry import UNREACHABLE
+
+
+@st.composite
+def small_geometries(draw):
+    n = draw(st.integers(1, 8))
+    if n < 2:
+        return Geometry(n, ())
+    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+    return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
+
+
+def bfs_rows(g):
+    """Distances by a queue-based BFS over the line lists, without bitsets."""
+    neighbours = [set() for _ in range(g.point_count)]
+    for line in g.lines:
+        for p in line:
+            neighbours[p].update(q for q in line if q != p)
+    rows = []
+    for s in range(g.point_count):
+        dist = [UNREACHABLE] * g.point_count
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in neighbours[v]:
+                if dist[w] == UNREACHABLE:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+def closure_oracle(g, seed):
+    """The smallest superset of ``seed`` that is a subspace and holds every
+    geodesic between two of its members, by trying every superset."""
+    rows = g.distance_rows
+    closed = []
+    for m in range(1 << g.point_count):
+        pts = {p for p in range(g.point_count) if m >> p & 1}
+        if not seed <= pts or not is_subspace(g, pts):
+            continue
+        if all(
+            z in pts
+            for a, b in combinations(sorted(pts), 2)
+            if rows[a][b] != UNREACHABLE
+            for z in range(g.point_count)
+            if rows[a][z] != UNREACHABLE and rows[a][z] + rows[z][b] == rows[a][b]
+        ):
+            closed.append(frozenset(pts))
+    smallest = min(closed, key=len)
+    # closed sets are closed under intersection, so the smallest is unique
+    assert all(smallest <= c for c in closed)
+    return smallest
+
+
+def check_np_by_rows(g):
+    """The point-by-point near-polygon check that ``check_np`` replaces."""
+    rows = g.distance_rows
+    for li, line in enumerate(g.lines):
+        for x in range(g.point_count):
+            if x in line:
+                continue
+            ds = [rows[x][p] for p in line]
+            if ds.count(min(ds)) != 1:
+                return (False, (x, li))
+    return (True, None)
+
+
+def profiles_by_rows(g, line_indices=None):
+    """The point-by-point census that ``line_distance_profiles`` replaces."""
+    rows = g.distance_rows
+    indices = range(len(g.lines)) if line_indices is None else line_indices
+    out = {}
+    for li in indices:
+        line = g.lines[li]
+        for x in range(g.point_count):
+            if x not in line:
+                profile = tuple(sorted(rows[x][p] for p in line))
+                out[profile] = out.get(profile, 0) + 1
+    return out
+
+
+@given(small_geometries())
+@settings(max_examples=150, deadline=None)
+def test_spheres_match_rows_and_bfs(g):
+    rows = g.distance_rows
+    assert rows == bfs_rows(g)
+    for p, layers in enumerate(g.distance_spheres):
+        assert len(layers) == max(rows[p]) + 1
+        for k, layer in enumerate(layers):
+            assert layer == sum(1 << q for q, d in enumerate(rows[p]) if d == k)
+
+
+@given(small_geometries(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_convex_closure_matches_oracle(g, data):
+    seed = data.draw(st.sets(st.integers(0, g.point_count - 1), min_size=1, max_size=3))
+    closure = convex_closure(g, seed)
+    assert closure == closure_oracle(g, seed)
+    assert is_subspace(g, closure)
+
+
+@given(small_geometries())
+@settings(max_examples=150, deadline=None)
+def test_check_np_matches_rows(g):
+    connected = all(UNREACHABLE not in row for row in g.distance_rows)
+    if not connected:
+        with pytest.raises(GeometryError):
+            check_np(g)
+        return
+    assert tuple(check_np(g)) == check_np_by_rows(g)
+
+
+@given(small_geometries(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_line_distance_profiles_match_rows(g, data):
+    got = line_distance_profiles(g)
+    want = profiles_by_rows(g)
+    assert got == want
+    assert list(got) == list(want)
+    if g.lines:
+        picked = data.draw(st.lists(st.integers(0, len(g.lines) - 1), max_size=4))
+        assert line_distance_profiles(g, picked) == profiles_by_rows(g, picked)
+
+
+def test_routines_match_rows_on_the_models(w2, h3, dsp, h3_partitions, h3_debruyn):
+    for g in (w2, h3, dsp, h3_partitions, h3_debruyn):
+        assert tuple(check_np(g)) == check_np_by_rows(g)
+        assert line_distance_profiles(g) == profiles_by_rows(g)
+
+
+def test_convex_closure_completes_every_line_through_a_pair():
+    # {0,1} lies on two lines, so this is not a partial linear space
+    g = Geometry(4, ((0, 1, 2), (0, 1, 3)))
+    assert not validate_pls(g).ok
+    closure = convex_closure(g, {0, 1})
+    assert closure == {0, 1, 2, 3}
+    assert is_subspace(g, closure)
+
+
+def test_convex_closure_adds_the_interval_of_a_far_pair():
+    # in the ordinary hexagon and a path with a pendant point, only the
+    # geodesics between the two far points can grow their closure
+    hexagon = Geometry(6, tuple((i, (i + 1) % 6) for i in range(6)))
+    assert convex_closure(hexagon, {0, 3}) == set(range(6))
+    path = Geometry(5, ((0, 1), (1, 2), (2, 3), (2, 4)))
+    assert convex_closure(path, {0, 3}) == {0, 1, 2, 3}
+    assert convex_closure(path, {0, 3}) == closure_oracle(path, {0, 3})
+
+
+def test_enumerate_quads_closes_every_qualifying_pair(dsp, monkeypatch):
+    calls = []
+    real = nearhex.verify.convex_closure
+
+    def counting(g, points):
+        calls.append(tuple(points))
+        return real(g, points)
+
+    monkeypatch.setattr(nearhex.verify, "convex_closure", counting)
+    quads = enumerate_quads(dsp)
+    rows, adj = dsp.distance_rows, dsp.adjacency
+    qualifying = [
+        (x, y)
+        for x, y in combinations(range(dsp.point_count), 2)
+        if rows[x][y] == 2 and (adj[x] & adj[y]).bit_count() >= 2
+    ]
+    assert len(qualifying) == 3780
+    assert sorted(calls) == qualifying
+    assert len(quads) == 63
