@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .builders import (
+    DebruynCensus,
     build_dsp62,
     build_h3,
     build_h3_partitions,
@@ -32,6 +33,7 @@ from .gq22 import (
 )
 from .iso import are_isomorphic
 from .verify import (
+    EXPECTED,
     check_np,
     dsp_case_analysis,
     enumerate_quads,
@@ -70,33 +72,6 @@ class _Checker:
                 self.witnesses.append(witness)
 
 
-class _Models:
-    """Build-once cache shared by the criteria."""
-
-    def __init__(self):
-        self._cache: dict[str, object] = {}
-
-    def w2(self) -> Geometry:
-        return self._get("w2", build_w2)
-
-    def h3(self) -> Geometry:
-        return self._get("h3", build_h3)
-
-    def dsp(self) -> Geometry:
-        return self._get("dsp", lambda: build_dsp62(self.h3()))
-
-    def partitions(self) -> Geometry:
-        return self._get("partitions", build_h3_partitions)
-
-    def debruyn_census(self):
-        return self._get("debruyn", debruyn_census)
-
-    def _get(self, key, factory):
-        if key not in self._cache:
-            self._cache[key] = factory()
-        return self._cache[key]
-
-
 def _result(criterion, title, limit, check: _Checker, counts, t0) -> CriterionResult:
     return CriterionResult(
         criterion,
@@ -109,13 +84,14 @@ def _result(criterion, title, limit, check: _Checker, counts, t0) -> CriterionRe
     )
 
 
-def criterion_1(models: _Models) -> CriterionResult:
+def criterion_1(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
-    w2 = models.w2()
+    w2 = models["w2"]
+    want = EXPECTED["w2"]
     verdict = is_gq(w2)
-    c.expect(w2.point_count == 15, f"point count {w2.point_count}")
-    c.expect(len(w2.lines) == 15, f"line count {len(w2.lines)}")
+    c.expect(w2.point_count == want.v, f"point count {w2.point_count}")
+    c.expect(len(w2.lines) == want.lines, f"line count {len(w2.lines)}")
     c.expect(verdict.order == (2, 2), f"order {verdict.order}: {verdict.witness}")
     dual = dual_geometry(w2)
     iso = are_isomorphic(w2, dual)
@@ -124,10 +100,10 @@ def criterion_1(models: _Models) -> CriterionResult:
     return _result(1, "W(2) model: 15 points, 15 lines, order (2,2), self-dual", 1.0, c, counts, t0)
 
 
-def criterion_2(models: _Models) -> CriterionResult:
+def criterion_2(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
-    w2 = models.w2()
+    w2 = models["w2"]
     counts = {}
     for mode in ("points", "lines"):
         triads = enumerate_triads(w2, mode)
@@ -158,24 +134,22 @@ def criterion_2(models: _Models) -> CriterionResult:
     )
 
 
-def _hexagon_criterion(criterion, title, limit, g, expected) -> CriterionResult:
+def _hexagon_criterion(criterion, title, limit, models, name) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
+    g = models[name]
+    want = EXPECTED[name]
     p = parameters(g)
-    c.expect(p.v == expected["v"], f"v={p.v}")
+    c.expect(p.v == want.v, f"v={p.v}")
     c.expect(p.slim, f"line sizes {sorted(p.line_sizes)}")
     c.expect(
-        p.lines_per_point == frozenset({expected["lines_per_point"]}),
+        p.lines_per_point == frozenset({want.lines_per_point}),
         f"lines per point {sorted(p.lines_per_point)}",
     )
     c.expect(p.dense, "not dense")
-    c.expect(p.connected and p.diameter == 3, f"diameter {p.diameter}")
-    c.expect(
-        p.t2_values == frozenset(expected["t2"]),
-        f"t2 values {sorted(p.t2_values)}",
-    )
-    if "lines" in expected:
-        c.expect(len(g.lines) == expected["lines"], f"line count {len(g.lines)}")
+    c.expect(p.connected and p.diameter == want.diameter, f"diameter {p.diameter}")
+    c.expect(p.t2_values == want.t2, f"t2 values {sorted(p.t2_values)}")
+    c.expect(len(g.lines) == want.lines, f"line count {len(g.lines)}")
     np = check_np(g)
     c.expect(np.ok, f"near-polygon axiom fails at {np.witness}")
     counts = {
@@ -188,64 +162,53 @@ def _hexagon_criterion(criterion, title, limit, g, expected) -> CriterionResult:
     return _result(criterion, title, limit, c, counts, t0)
 
 
-def criterion_3(models: _Models) -> CriterionResult:
+def criterion_3(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     return _hexagon_criterion(
-        3,
-        "105-point hexagon: v=105, t+1=6, dense, NP, diameter 3, t2 in {1,2}",
-        5.0,
-        models.h3(),
-        {"v": 105, "lines_per_point": 6, "t2": {1, 2}},
+        3, "105-point hexagon: v=105, t+1=6, dense, NP, diameter 3, t2 in {1,2}", 5.0, models, "h3"
     )
 
 
-def criterion_4(models: _Models) -> CriterionResult:
+def criterion_4(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     return _hexagon_criterion(
         4,
         "135-point space: v=135, 315 lines, t+1=7, dense, NP, diameter 3, t2=2",
         10.0,
-        models.dsp(),
-        {"v": 135, "lines_per_point": 7, "t2": {2}, "lines": 315},
+        models,
+        "dsp62",
     )
 
 
-def criterion_5(models: _Models) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
-    reports = h3_case_analysis(models.h3())
-    expected = {"A1": 315, "A2": 315, "A3": 1680, "A4": 2520, "collinear": 630}
+def _case_counts(c: _Checker, reports, name: str) -> dict:
+    table = EXPECTED[name].cases
     counts = {}
     for r in reports:
-        c.expect(r.ok, f"case {r.case}: witnesses {r.witnesses[:3]}")
         c.expect(
-            r.pair_count == expected[r.case],
-            f"case {r.case}: {r.pair_count} pairs, expected {expected[r.case]}",
+            r.ok,
+            f"case {r.case}: {r.pair_count} pairs, expected {table[r.case].pairs}; "
+            f"witnesses {r.witnesses[:3]}",
         )
         counts[r.case] = {"pairs": r.pair_count, "observed": r.observed}
-    total = sum(r.pair_count for r in reports)
-    c.expect(total == 5460, f"partition covers {total} of 5460 pairs")
+    return counts
+
+
+def criterion_5(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
+    t0 = time.perf_counter()
+    c = _Checker()
+    counts = _case_counts(c, h3_case_analysis(models["h3"]), "h3")
+    total = sum(case["pairs"] for case in counts.values())
+    v = EXPECTED["h3"].v
+    c.expect(total == v * (v - 1) // 2, f"partition covers {total} of {v * (v - 1) // 2} pairs")
     counts["total_pairs"] = total
     return _result(
         5, "105-point case analysis: A1/A2 give 2, A3 gives 3, A4 gives distance 3", 5.0, c, counts, t0
     )
 
 
-def criterion_6(models: _Models) -> CriterionResult:
+def criterion_6(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
-    dsp = models.dsp()
-    reports = dsp_case_analysis(dsp, range(105))
-    expected = {
-        "B1": 105, "B2": 105, "B3": 120, "B4": 630, "B5": 630, "B6": 840, "B7": 840,
-        "A1": 315, "A2": 315, "A3": 1680, "A4": 2520, "collinear": 945,
-    }
-    counts = {}
-    for r in reports:
-        c.expect(r.ok, f"case {r.case}: witnesses {r.witnesses[:3]}")
-        c.expect(
-            r.pair_count == expected[r.case],
-            f"case {r.case}: {r.pair_count} pairs, expected {expected[r.case]}",
-        )
-        counts[r.case] = {"pairs": r.pair_count, "observed": r.observed}
+    dsp = models["dsp62"]
+    counts = _case_counts(c, dsp_case_analysis(dsp, EXPECTED["dsp62"].hexagon), "dsp62")
     profiles = line_distance_profiles(dsp)
     c.expect(
         set(profiles) <= HEX_PROFILES,
@@ -265,29 +228,23 @@ def criterion_6(models: _Models) -> CriterionResult:
     )
 
 
-def criterion_7(models: _Models) -> CriterionResult:
+def criterion_7(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
-    dsp = models.dsp()
-    ok = is_geometric_hyperplane(dsp, range(105))
+    ok = is_geometric_hyperplane(models["dsp62"], EXPECTED["dsp62"].hexagon)
     c.expect(ok, "embedded 105-point set is not a geometric hyperplane")
     return _result(
         7, "The 105-point hexagon is a geometric hyperplane of the 135-point space", 1.0, c, {"hyperplane": ok}, t0
     )
 
 
-def criterion_8(models: _Models) -> CriterionResult:
+def criterion_8(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
-    h3 = models.h3()
-    part = models.partitions()
-    deb = models.debruyn_census().geometry
     counts = {}
-    for name, a, b in (
-        ("h3~h3-partition", h3, part),
-        ("h3~h3-debruyn", h3, deb),
-        ("h3-partition~h3-debruyn", part, deb),
-    ):
+    for name_a, name_b in combinations(("h3", "h3-partition", "h3-debruyn"), 2):
+        a, b = models[name_a], models[name_b]
+        name = f"{name_a}~{name_b}"
         verdict = are_isomorphic(a, b)
         c.expect(verdict.isomorphic, f"{name}: {verdict.detail}")
         if verdict.mapping is not None:
@@ -298,7 +255,7 @@ def criterion_8(models: _Models) -> CriterionResult:
             )
             c.expect(carried, f"{name}: returned bijection does not carry lines")
         counts[name] = verdict.isomorphic
-    verdict = are_isomorphic(h3, models.dsp())
+    verdict = are_isomorphic(models["h3"], models["dsp62"])
     c.expect(not verdict.isomorphic, "105- and 135-point spaces compare isomorphic")
     counts["h3~dsp62"] = verdict.isomorphic
     return _result(
@@ -306,31 +263,25 @@ def criterion_8(models: _Models) -> CriterionResult:
     )
 
 
-def criterion_9(models: _Models) -> CriterionResult:
+def criterion_9(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
     c = _Checker()
     counts = {}
-    dsp_quads = enumerate_quads(models.dsp())
-    kinds = {"grid21": 0, "gq22": 0, "other": 0}
-    for q in dsp_quads:
-        kinds[q.kind] += 1
-        c.expect(q.kind == "gq22", f"135-point quad {sorted(q.points)[:4]}...: {q.kind} {q.witness}")
-    counts["dsp62"] = dict(kinds)
-    h3_quads = enumerate_quads(models.h3())
-    kinds = {"grid21": 0, "gq22": 0, "other": 0}
-    for q in h3_quads:
-        kinds[q.kind] += 1
-        c.expect(q.kind in ("grid21", "gq22"), f"105-point quad: {q.kind} {q.witness}")
-    c.expect(kinds["grid21"] > 0 and kinds["gq22"] > 0, f"quad kinds {kinds}")
-    counts["h3"] = dict(kinds)
+    for name in ("dsp62", "h3"):
+        allowed = EXPECTED[name].quad_kinds
+        kinds = {"grid21": 0, "gq22": 0, "other": 0}
+        for q in enumerate_quads(models[name]):
+            kinds[q.kind] += 1
+            c.expect(q.kind in allowed, f"{name} quad {sorted(q.points)[:4]}...: {q.kind} {q.witness}")
+        c.expect({k for k, n in kinds.items() if n} == allowed, f"{name} quad kinds {kinds}")
+        counts[name] = kinds
     return _result(
         9, "Quad census: all 135-point quads are (2,2); 105-point has both kinds", 30.0, c, counts, t0
     )
 
 
-def criterion_10(models: _Models) -> CriterionResult:
+def criterion_10(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
     t0 = time.perf_counter()
-    census = models.debruyn_census()
     kinds = census.escort_kind_counts
     counts = {
         "line_type_counts": census.type_counts,
@@ -366,8 +317,19 @@ CRITERIA = (
 
 
 def run_acceptance() -> list[CriterionResult]:
-    models = _Models()
-    return [fn(models) for fn in CRITERIA]
+    """Build each model once, the 135-point space from the same hexagon and
+    the flag model from the census that criterion 10 reads, and run every
+    criterion on them."""
+    census = debruyn_census()
+    h3 = build_h3()
+    models = {
+        "w2": build_w2(),
+        "h3": h3,
+        "h3-partition": build_h3_partitions(),
+        "h3-debruyn": census.geometry,
+        "dsp62": build_dsp62(h3),
+    }
+    return [fn(models, census) for fn in CRITERIA]
 
 
 def acceptance_report(results: list[CriterionResult]) -> dict:

@@ -25,6 +25,7 @@ from .gq22 import build_w2
 from .iso import are_isomorphic
 from .jsonio import dumps, geometry_to_document, load_geometry
 from .verify import (
+    EXPECTED,
     check_np,
     dsp_case_analysis,
     enumerate_quads,
@@ -40,14 +41,6 @@ MODELS: dict[str, Callable[[], Geometry]] = {
     "dsp62": lambda: build_dsp62(build_h3()),
 }
 
-EXPECTED_PARAMETERS = {
-    "w2": {"v": 15, "lines_per_point": [3], "t2_values": [2], "diameter": 2},
-    "h3": {"v": 105, "lines_per_point": [6], "t2_values": [1, 2], "diameter": 3},
-    "h3-partition": {"v": 105, "lines_per_point": [6], "t2_values": [1, 2], "diameter": 3},
-    "h3-debruyn": {"v": 105, "lines_per_point": [6], "t2_values": [1, 2], "diameter": 3},
-    "dsp62": {"v": 135, "lines_per_point": [7], "t2_values": [2], "diameter": 3},
-}
-
 ALL_CHECKS = ("pls", "np", "dense", "params", "quads", "cases", "hyperplane")
 
 
@@ -57,7 +50,11 @@ class UsageError(Exception):
 
 def _write(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            raise UsageError(f"cannot write to standard output: {exc}") from exc
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -85,6 +82,7 @@ def _entry(check: str, model: str, ok: bool, counts: dict, witnesses: list) -> d
 
 
 def _run_check(check: str, model: str, g: Geometry) -> dict:
+    facts = EXPECTED[model]
     if check == "pls":
         verdict = validate_pls(g)
         return _entry(check, model, verdict.ok, {"violations": len(verdict.violations)}, list(verdict.violations))
@@ -103,7 +101,12 @@ def _run_check(check: str, model: str, g: Geometry) -> dict:
             "t2_values": sorted(p.t2_values),
             "diameter": p.diameter,
         }
-        want = EXPECTED_PARAMETERS[model]
+        want = {
+            "v": facts.v,
+            "lines_per_point": [facts.lines_per_point],
+            "t2_values": sorted(facts.t2),
+            "diameter": facts.diameter,
+        }
         ok = got == want and p.slim and p.connected and p.dense
         return _entry(check, model, ok, {"observed": got, "expected": want}, [])
     if check == "quads":
@@ -111,29 +114,23 @@ def _run_check(check: str, model: str, g: Geometry) -> dict:
         kinds: dict[str, int] = {}
         for r in records:
             kinds[r.kind] = kinds.get(r.kind, 0) + 1
-        bad = [r for r in records if r.kind == "other"]
-        if model == "dsp62":
-            ok = not bad and kinds.get("grid21", 0) == 0 and kinds.get("gq22", 0) > 0
-        elif model == "w2":
-            ok = not bad
-        else:
-            ok = not bad and kinds.get("grid21", 0) > 0 and kinds.get("gq22", 0) > 0
-        return _entry(check, model, ok, {"kinds": kinds}, [r.witness for r in bad])
+        witnesses = [r.witness for r in records if r.kind == "other"]
+        return _entry(check, model, set(kinds) == facts.quad_kinds, {"kinds": kinds}, witnesses)
     if check == "cases":
-        if model == "h3":
-            reports = h3_case_analysis(g)
-        elif model == "dsp62":
-            reports = dsp_case_analysis(g, range(105))
-        else:
+        if facts.cases is None:
             raise UsageError(f"check 'cases' needs labelled pair points; model {model!r} has none")
+        if facts.hexagon is None:
+            reports = h3_case_analysis(g)
+        else:
+            reports = dsp_case_analysis(g, facts.hexagon)
         ok = all(r.ok for r in reports)
         counts = {r.case: {"pairs": r.pair_count, "observed": r.observed} for r in reports}
         witnesses = [w for r in reports for w in r.witnesses]
         return _entry(check, model, ok, counts, witnesses)
     if check == "hyperplane":
-        if model != "dsp62":
-            raise UsageError("check 'hyperplane' applies to model dsp62 only")
-        ok = is_geometric_hyperplane(g, range(105))
+        if facts.hexagon is None:
+            raise UsageError(f"check 'hyperplane' needs an embedded hexagon; model {model!r} has none")
+        ok = is_geometric_hyperplane(g, facts.hexagon)
         return _entry(check, model, ok, {}, [])
     raise UsageError(f"unknown check {check!r}; choose from {', '.join(ALL_CHECKS)}")
 
@@ -153,8 +150,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _build_model(args.model)
     if args.checks is None:
-        checks = [c for c in ALL_CHECKS if not (c == "cases" and args.model not in ("h3", "dsp62"))]
-        checks = [c for c in checks if not (c == "hyperplane" and args.model != "dsp62")]
+        facts = EXPECTED[args.model]
+        checks = [
+            c for c in ALL_CHECKS
+            if not (c == "cases" and facts.cases is None or c == "hyperplane" and facts.hexagon is None)
+        ]
     else:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not checks:

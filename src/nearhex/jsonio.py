@@ -17,22 +17,21 @@ from typing import Any
 from .geometry import Geometry, GeometryError
 
 
-def render_label(label: Any) -> str:
-    return str(label)
-
-
 def geometry_to_document(g: Geometry, name: str) -> dict:
     labels = g.labels or tuple(str(i) for i in range(g.point_count))
     return {
         "name": name,
         "points": [
-            {"id": i, "label": render_label(label)} for i, label in enumerate(labels)
+            {"id": i, "label": str(label)} for i, label in enumerate(labels)
         ],
         "lines": [list(line) for line in g.lines],
     }
 
 
 def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
+    """Read a geometry document, rejecting what ``Geometry`` would quietly
+    normalise: a repeated point on a line, a line given twice, and booleans
+    as point ids or line entries."""
     if not isinstance(doc, dict):
         raise GeometryError("geometry document must be a JSON object")
     try:
@@ -46,15 +45,21 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
     ids = []
     labels = []
     for entry in points:
-        if not isinstance(entry, dict) or "id" not in entry:
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise GeometryError(f"bad point entry: {entry!r}")
         ids.append(entry["id"])
         labels.append(str(entry.get("label", entry["id"])))
     if ids != list(range(len(ids))):
         raise GeometryError("point ids must be 0..n-1 in order")
+    seen = set()
     for line in lines:
-        if not isinstance(line, list) or not all(isinstance(p, int) for p in line):
+        if not isinstance(line, list) or not all(type(p) is int for p in line):
             raise GeometryError(f"bad line entry: {line!r}")
+        if len(set(line)) != len(line):
+            raise GeometryError(f"line {line!r} repeats a point")
+        if frozenset(line) in seen:
+            raise GeometryError(f"line {line!r} is given twice")
+        seen.add(frozenset(line))
     return str(name), Geometry(len(ids), tuple(tuple(l) for l in lines), tuple(labels))
 
 

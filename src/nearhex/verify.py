@@ -1,14 +1,17 @@
 """Near-polygon verification: axioms, parameters, quads and the exhaustive
-case analyses for the two constructed hexagons.
+case analyses for the two constructed hexagons, plus ``EXPECTED``, the one
+table of facts each model must show, which ``nearhex verify`` and the
+acceptance suite both read.
 
 Pair classification in the case analyses reads point labels only; the
 geometric conclusions (common-neighbour counts, distances) are then checked
-against the line structure, so the two sides stay independent.
+against the line structure, so the two sides stay independent.  One scan
+serves both case analyses, driven by the model's case table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, NamedTuple
 
@@ -188,6 +191,76 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     return sorted(seen.values(), key=lambda r: sorted(r.points))
 
 
+class Case(NamedTuple):
+    """One row of a case table.  Every pair in the case must give ``value``
+    for ``measure`` -- "common": common neighbours of a non-collinear pair;
+    "distance": distance, 1 for collinear pairs -- and the case must hold
+    ``pairs`` pairs."""
+
+    measure: str
+    value: int
+    pairs: int
+
+    @property
+    def text(self) -> str:
+        if self.measure == "common":
+            return f"exactly {self.value} common neighbours"
+        return f"distance {self.value}"
+
+
+class ModelFacts(NamedTuple):
+    """What ``nearhex verify`` and the acceptance suite expect of a model."""
+
+    v: int
+    lines: int
+    lines_per_point: int
+    t2: frozenset[int]
+    diameter: int
+    quad_kinds: frozenset[str]  # the quad kinds that occur, and no others
+    cases: dict[str, Case] | None = None  # its case analysis, in report order
+    hexagon: range | None = None  # the embedded hexagon, a geometric hyperplane
+
+
+_HEXAGON = ModelFacts(105, 210, 6, frozenset({1, 2}), 3, frozenset({"grid21", "gq22"}))
+
+# The expected facts of each model, keyed by the CLI model names.  On 105
+# points, pairs with the same first (A1) or second (A2) coordinate have
+# exactly 2 common neighbours, the doubly generic A3 pairs exactly 3, and
+# the mixed A4 pairs sit at distance 3.  On 135 points every distance-2
+# pair has exactly 3 (the adjoined copies lift A1/A2 to 3); only >= 3 is
+# guaranteed a priori for B1/B2/B4/B5, and the scan pins the exact count.
+EXPECTED: dict[str, ModelFacts] = {
+    "w2": ModelFacts(15, 15, 3, frozenset({2}), 2, frozenset({"gq22"})),
+    "h3": _HEXAGON._replace(cases={
+        "A1": Case("common", 2, 315),
+        "A2": Case("common", 2, 315),
+        "A3": Case("common", 3, 1680),
+        "A4": Case("distance", 3, 2520),
+        "collinear": Case("distance", 1, 630),
+    }),
+    "h3-partition": _HEXAGON,
+    "h3-debruyn": _HEXAGON,
+    "dsp62": ModelFacts(
+        135, 315, 7, frozenset({2}), 3, frozenset({"gq22"}),
+        cases={
+            "B1": Case("common", 3, 105),
+            "B2": Case("common", 3, 105),
+            "B3": Case("distance", 3, 120),
+            "B4": Case("common", 3, 630),
+            "B5": Case("common", 3, 630),
+            "B6": Case("distance", 3, 840),
+            "B7": Case("distance", 3, 840),
+            "A1": Case("common", 3, 315),
+            "A2": Case("common", 3, 315),
+            "A3": Case("common", 3, 1680),
+            "A4": Case("distance", 3, 2520),
+            "collinear": Case("distance", 1, 945),
+        },
+        hexagon=range(105),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class CaseReport:
     """Outcome of one case of a pair classification scan."""
@@ -195,23 +268,29 @@ class CaseReport:
     case: str
     pair_count: int
     expected: str
-    # histogram of the observed quantity: common-neighbour count for
-    # distance-2 cases, distance for distance-3 cases
-    observed: dict[int, int] = field(default_factory=dict)
-    ok: bool = True
-    witnesses: tuple[str, ...] = ()
+    # histogram of the measured quantity
+    observed: dict[int, int]
+    ok: bool
+    witnesses: tuple[str, ...]
 
 
-def _label_arrays(g: Geometry) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+def _sides(g: Geometry) -> list[tuple[str, object]]:
+    """Each point's side with the label data the classifiers read:
+    ``("pair", (x, u'))`` for a Pair, ``("P", x)`` for an Edge and
+    ``("Q", u')`` for a PrimedEdge."""
     if g.labels is None:
-        raise GeometryError("case analysis needs Pair labels")
-    xs, us = [], []
+        raise GeometryError("case analysis needs labels")
+    sides = []
     for i, label in enumerate(g.labels):
-        if not isinstance(label, Pair):
-            raise GeometryError(f"point {i} lacks a Pair label")
-        xs.append(label.base.ends)
-        us.append(label.prime.ends)
-    return xs, us
+        if isinstance(label, Pair):
+            sides.append(("pair", (label.base.ends, label.prime.ends)))
+        elif isinstance(label, Edge):
+            sides.append(("P", label.ends))
+        elif isinstance(label, PrimedEdge):
+            sides.append(("Q", label.ends))
+        else:
+            raise GeometryError(f"unexpected label {label!r} at point {i}")
+    return sides
 
 
 def _a_case(xi, ui, xj, uj) -> str:
@@ -227,76 +306,6 @@ def _a_case(xi, ui, xj, uj) -> str:
     if not m1 and not m2:
         return "A3"
     return "A4"
-
-
-class _CaseTally:
-    def __init__(self, case: str, expected: str):
-        self.case = case
-        self.expected = expected
-        self.count = 0
-        self.observed: dict[int, int] = {}
-        self.witnesses: list[str] = []
-
-    def record(self, value: int, ok: bool, witness: str) -> None:
-        self.count += 1
-        self.observed[value] = self.observed.get(value, 0) + 1
-        if not ok and len(self.witnesses) < 10:
-            self.witnesses.append(witness)
-
-    def report(self) -> CaseReport:
-        return CaseReport(
-            self.case,
-            self.count,
-            self.expected,
-            dict(sorted(self.observed.items())),
-            not self.witnesses,
-            tuple(sorted(self.witnesses)),
-        )
-
-
-def _pair_name(g: Geometry, i: int, j: int) -> str:
-    return f"({g.labels[i]},{g.labels[j]})"
-
-
-def h3_case_analysis(g: Geometry) -> list[CaseReport]:
-    """Exhaustive scan of all unordered point pairs of the 105-point hexagon.
-
-    Expected outcomes: A1 and A2 pairs have exactly 2 common neighbours, A3
-    pairs exactly 3, A4 pairs sit at distance 3, and together with the
-    collinear pairs the cases partition everything.
-    """
-    xs, us = _label_arrays(g)
-    adj = g.adjacency
-    rows = g.distance_rows
-    tallies = {
-        "A1": _CaseTally("A1", "exactly 2 common neighbours"),
-        "A2": _CaseTally("A2", "exactly 2 common neighbours"),
-        "A3": _CaseTally("A3", "exactly 3 common neighbours"),
-        "A4": _CaseTally("A4", "distance 3"),
-        "collinear": _CaseTally("collinear", "adjacent in the collinearity graph"),
-    }
-    for i in range(g.point_count):
-        for j in range(i + 1, g.point_count):
-            case = _a_case(xs[i], us[i], xs[j], us[j])
-            tally = tallies[case]
-            adjacent = bool(adj[i] >> j & 1)
-            if (case == "collinear") != adjacent:
-                tally.record(rows[i][j], False, _pair_name(g, i, j))
-                continue
-            if case == "collinear":
-                tally.record(1, True, "")
-            elif case == "A4":
-                d = rows[i][j]
-                tally.record(d, d == 3, _pair_name(g, i, j))
-            else:
-                want = 3 if case == "A3" else 2
-                c = (adj[i] & adj[j]).bit_count()
-                tally.record(c, c == want, _pair_name(g, i, j))
-    total = sum(t.count for t in tallies.values())
-    expected_total = g.point_count * (g.point_count - 1) // 2
-    if total != expected_total:
-        raise GeometryError(f"case partition covers {total} of {expected_total} pairs")
-    return [tallies[k].report() for k in ("A1", "A2", "A3", "A4", "collinear")]
 
 
 def _b_case(side_i: str, li, side_j: str, lj) -> str:
@@ -327,73 +336,56 @@ def _b_case(side_i: str, li, side_j: str, lj) -> str:
     return "B5" if perp_related(y, outer) else "B7"
 
 
-def dsp_case_analysis(g: Geometry, h3_points: Iterable[int]) -> list[CaseReport]:
-    """Exhaustive scan of the 135-point space.
+def _case_scan(g: Geometry, sides: list, table: dict[str, Case]) -> list[CaseReport]:
+    """Classify every unordered pair from its labels alone, then measure
+    what its case prescribes on the line structure.
 
-    Pairs touching an adjoined copy are classified B1..B7; pairs inside the
-    embedded hexagon are delegated to the A-case logic, where the expected
-    common-neighbour count rises to 3 (the adjoined copies supply the extra
-    neighbour for A1/A2).
+    A pair the labels call non-collinear but that is collinear records its
+    distance 1, so it fails any "common" case as well.
     """
-    if g.labels is None:
-        raise GeometryError("case analysis needs labels")
-    hset = frozenset(h3_points)
-    sides: list[str] = []
-    data: list = []
-    for i, label in enumerate(g.labels):
-        if isinstance(label, Pair):
-            sides.append("pair")
-            data.append((label.base.ends, label.prime.ends))
-        elif isinstance(label, Edge):
-            sides.append("P")
-            data.append(label.ends)
-        elif isinstance(label, PrimedEdge):
-            sides.append("Q")
-            data.append(label.ends)
-        else:
-            raise GeometryError(f"unexpected label {label!r} at point {i}")
-    if hset != frozenset(i for i, s in enumerate(sides) if s == "pair"):
-        raise GeometryError("h3_points does not match the Pair-labelled points")
+    adj, rows, names = g.adjacency, g.distance_rows, g.labels
+    found = {case: ({}, []) for case in table}  # histogram, witnesses
+    for i, (side_i, data_i) in enumerate(sides):
+        adj_i, row_i = adj[i], rows[i]
+        for j in range(i + 1, len(sides)):
+            side_j, data_j = sides[j]
+            if side_i == side_j == "pair":
+                case = _a_case(*data_i, *data_j)
+            else:
+                case = _b_case(side_i, data_i, side_j, data_j)
+            measure, want, _ = table[case]
+            if measure == "common" and not adj_i >> j & 1:
+                value = (adj_i & adj[j]).bit_count()
+            else:
+                value = row_i[j]
+            hist, witnesses = found[case]
+            hist[value] = hist.get(value, 0) + 1
+            if value != want and len(witnesses) < 10:
+                witnesses.append(f"({names[i]},{names[j]})")
+    reports = []
+    for case, (hist, witnesses) in found.items():
+        n = sum(hist.values())
+        ok = not witnesses and n == table[case].pairs
+        reports.append(CaseReport(
+            case, n, table[case].text, dict(sorted(hist.items())), ok, tuple(sorted(witnesses))
+        ))
+    return reports
 
-    adj = g.adjacency
-    rows = g.distance_rows
-    tallies = {
-        "B1": _CaseTally("B1", ">= 3 common neighbours"),
-        "B2": _CaseTally("B2", ">= 3 common neighbours"),
-        "B3": _CaseTally("B3", "distance 3"),
-        "B4": _CaseTally("B4", ">= 3 common neighbours"),
-        "B5": _CaseTally("B5", ">= 3 common neighbours"),
-        "B6": _CaseTally("B6", "distance 3"),
-        "B7": _CaseTally("B7", "distance 3"),
-        "A1": _CaseTally("A1", "exactly 3 common neighbours"),
-        "A2": _CaseTally("A2", "exactly 3 common neighbours"),
-        "A3": _CaseTally("A3", "exactly 3 common neighbours"),
-        "A4": _CaseTally("A4", "distance 3"),
-        "collinear": _CaseTally("collinear", "adjacent in the collinearity graph"),
-    }
-    for i in range(g.point_count):
-        for j in range(i + 1, g.point_count):
-            adjacent = bool(adj[i] >> j & 1)
-            if sides[i] == "pair" and sides[j] == "pair":
-                (xi, ui), (xj, uj) = data[i], data[j]
-                case = _a_case(xi, ui, xj, uj)
-            else:
-                case = _b_case(sides[i], data[i], sides[j], data[j])
-            tally = tallies[case]
-            if (case == "collinear") != adjacent:
-                tally.record(rows[i][j], False, _pair_name(g, i, j))
-                continue
-            if case == "collinear":
-                tally.record(1, True, "")
-            elif case in ("B3", "B6", "B7", "A4"):
-                d = rows[i][j]
-                tally.record(d, d == 3, _pair_name(g, i, j))
-            else:
-                c = (adj[i] & adj[j]).bit_count()
-                tally.record(c, c == 3, _pair_name(g, i, j))
-    total = sum(t.count for t in tallies.values())
-    expected_total = g.point_count * (g.point_count - 1) // 2
-    if total != expected_total:
-        raise GeometryError(f"case partition covers {total} of {expected_total} pairs")
-    order = ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "A1", "A2", "A3", "A4", "collinear")
-    return [tallies[k].report() for k in order]
+
+def h3_case_analysis(g: Geometry) -> list[CaseReport]:
+    """Exhaustive scan of all point pairs of the 105-point hexagon against
+    ``EXPECTED["h3"].cases``."""
+    sides = _sides(g)
+    if any(side != "pair" for side, _ in sides):
+        raise GeometryError("case analysis needs Pair labels")
+    return _case_scan(g, sides, EXPECTED["h3"].cases)
+
+
+def dsp_case_analysis(g: Geometry, h3_points: Iterable[int]) -> list[CaseReport]:
+    """Exhaustive scan of the 135-point space against
+    ``EXPECTED["dsp62"].cases``: pairs touching an adjoined copy fall in
+    B1..B7, pairs inside the embedded hexagon in the A-cases."""
+    sides = _sides(g)
+    if frozenset(h3_points) != frozenset(i for i, (side, _) in enumerate(sides) if side == "pair"):
+        raise GeometryError("h3_points does not match the Pair-labelled points")
+    return _case_scan(g, sides, EXPECTED["dsp62"].cases)

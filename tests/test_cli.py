@@ -191,3 +191,54 @@ def test_dumps_trailing_newline():
 def test_load_geometry_missing_file(tmp_path):
     with pytest.raises(GeometryError):
         load_geometry(str(tmp_path / "nope.json"))
+
+
+@pytest.mark.parametrize(
+    "points,lines",
+    [
+        (3, [[0, 1, 2], [2, 1, 0]]),  # the same line twice
+        (3, [[0, 0, 1]]),  # a repeated point on a line
+        (3, [[True, 1, 2]]),  # a boolean line entry, equal to 1
+        ([False, True, 2], [[0, 1, 2]]),  # boolean point ids, equal to 0 and 1
+    ],
+    ids=["repeated-line", "repeated-point", "bool-entry", "bool-ids"],
+)
+def test_loading_rejects_what_geometry_would_normalise(tmp_path, capsys, points, lines):
+    ids = list(range(points)) if isinstance(points, int) else points
+    doc = {"name": "x", "points": [{"id": i} for i in ids], "lines": lines}
+    with pytest.raises(GeometryError):
+        document_to_geometry(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"name": "y", "points": [{"id": i} for i in range(3)], "lines": [[0, 1, 2]]}))
+    code, _, err = run(capsys, "iso", str(good), str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_closed_stdout_is_an_output_error(monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = main(["build", "--model", "w2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_cases_checks_the_pair_counts(monkeypatch, capsys):
+    from nearhex.verify import EXPECTED
+
+    table = EXPECTED["h3"].cases
+    monkeypatch.setitem(table, "A1", table["A1"]._replace(pairs=314))
+    code, out, _ = run(capsys, "verify", "--model", "h3", "--checks", "cases")
+    assert code == 1
+    entry = json.loads(out)["checks"][0]
+    assert entry["verdict"] == "fail"
+    assert entry["counts"]["A1"]["pairs"] == 315

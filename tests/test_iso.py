@@ -155,7 +155,9 @@ def _switched_sts13():
 def test_sts13_pair_needs_certificates():
     """The two Steiner triple systems on 13 points share every cheap
     invariant (26 triples, 6 lines per point, complete collinearity graph),
-    so only the canonical certificates can separate them."""
+    so no invariant separates them.  Within the default budget the lockstep
+    search settles the pair by exhausting every branch; their canonical
+    certificates differ as well."""
     a = _cyclic_sts13()
     b = _switched_sts13()
     for g in (a, b):
@@ -167,7 +169,27 @@ def test_sts13_pair_needs_certificates():
         assert metrics(g) == (True, 1)
     verdict = are_isomorphic(a, b)
     assert not verdict.isomorphic
+    assert verdict.detail.startswith("refinement search exhausted")
     assert canonical_form(a).certificate != canonical_form(b).certificate
+
+
+def test_certificates_decide_when_the_search_budget_runs_out(monkeypatch):
+    import nearhex.iso
+
+    monkeypatch.setattr(nearhex.iso, "_SEARCH_BUDGET", 10)
+    verdict = are_isomorphic(_cyclic_sts13(), _switched_sts13())
+    assert not verdict.isomorphic
+    assert verdict.detail == "canonical certificate mismatch"
+
+
+def test_certificate_bijection_when_the_search_budget_runs_out(monkeypatch, h3, h3_partitions):
+    import nearhex.iso
+
+    monkeypatch.setattr(nearhex.iso, "_SEARCH_BUDGET", 10)
+    verdict = are_isomorphic(h3, h3_partitions)
+    assert verdict.isomorphic
+    assert verdict.detail == "bijection derived from equal canonical certificates"
+    assert_mapping_valid(h3, h3_partitions, verdict.mapping)
 
 
 def test_sts13_verdict_agrees_with_networkx():

@@ -220,3 +220,32 @@ def test_dsp_case_analysis_worked_examples(dsp):
 def test_dsp_case_analysis_checks_h3_points(dsp):
     with pytest.raises(GeometryError):
         dsp_case_analysis(dsp, range(104))
+
+
+def test_case_reports_state_the_value_checked(h3, dsp):
+    """Each report names the measure and the value its scan requires, the
+    scan observed exactly that value, and reports come in table order."""
+    from nearhex.verify import EXPECTED
+
+    for name, reports in (
+        ("h3", h3_case_analysis(h3)),
+        ("dsp62", dsp_case_analysis(dsp, range(105))),
+    ):
+        table = EXPECTED[name].cases
+        assert [r.case for r in reports] == list(table)
+        for r in reports:
+            want = table[r.case]
+            noun = "common neighbours" if want.measure == "common" else "distance"
+            assert noun in r.expected and str(want.value) in r.expected.split()
+            assert r.observed == {want.value: want.pairs}
+
+
+def test_expected_facts_cover_the_cli_models():
+    from nearhex.cli import MODELS
+    from nearhex.verify import EXPECTED
+
+    assert list(EXPECTED) == list(MODELS)
+    for facts in EXPECTED.values():
+        if facts.cases is not None:
+            assert sum(c.pairs for c in facts.cases.values()) == facts.v * (facts.v - 1) // 2
+        assert facts.lines * 3 == facts.v * facts.lines_per_point
