@@ -1,9 +1,13 @@
 """Isomorphism testing for point-line geometries.
 
 Both entry points work on the bipartite incidence graph (point vertices
-first, then one vertex per line) with iterative partition refinement:
-repeatedly split cells by the number of neighbours in an already-split
-cell until the partition is equitable.
+first, then one vertex per line) with one counting refinement,
+:func:`_refine`: the ordered partition is a vertex array with cell starts,
+each splitter cell counts neighbours through its own vertices' neighbour
+lists, and only the cells it touches split in place, by count.  A Hopcroft
+queue keeps out the first largest fragment of a cell that is not itself
+queued, and after individualizing a vertex only its singleton is queued
+(McKay & Piperno, *Practical Graph Isomorphism II*, 2014).
 
 :func:`canonical_form` runs a backtracking individualization-refinement
 search over that graph, keeping the lexicographically least certificate
@@ -12,20 +16,24 @@ same certificate are used to skip orbit-equivalent candidates, which is
 what makes the search fast on these highly symmetric geometries.
 
 :func:`are_isomorphic` first rejects on cheap invariants, then looks for an
-explicit bijection with a lockstep refinement search on the two graphs (the
-fast path for actually-isomorphic inputs), falling back to certificate
-comparison when that search is inconclusive.  Any returned mapping is
-re-verified line by line before being trusted.
+explicit bijection with a lockstep search on the two graphs (the fast path
+for actually-isomorphic inputs), falling back to certificate comparison
+when that search runs out of budget.  At each node the first graph's
+refinement records a trace (splitter, cell, and the count and size of
+each fragment); each candidate in the second graph reruns the same
+refinement and is dropped at its first entry that differs.  Any returned
+mapping is re-verified line by line before being trusted.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
-from .geometry import Geometry, GeometryError, mask_of
+from .geometry import Geometry, GeometryError
 
 _SEARCH_BUDGET = 200_000
 
@@ -69,67 +77,166 @@ def relabel(g: Geometry, perm: Sequence[int]) -> Geometry:
 # -- incidence graph and refinement -------------------------------------
 
 
-def _incidence_adjacency(g: Geometry) -> list[int]:
+def _incidence_neighbours(g: Geometry) -> list[list[int]]:
+    """Ascending neighbour lists of the incidence graph: points first, then
+    line ``li`` as vertex ``point_count + li``."""
     n_points = g.point_count
-    adj = [0] * (n_points + len(g.lines))
-    for li, line in enumerate(g.lines):
-        v = n_points + li
-        adj[v] = mask_of(line)
+    nbrs: list[list[int]] = [[] for _ in range(n_points)]
+    for v, line in enumerate(g.lines, n_points):
         for p in line:
-            adj[p] |= 1 << v
-    return adj
+            nbrs[p].append(v)
+        nbrs.append(list(line))
+    return nbrs
 
 
-def _refine(adj: list[int], cells: list[list[int]], active: list[int]) -> list[list[int]]:
-    """Equitable refinement: split cells by neighbour counts in the active
-    splitter sets until nothing changes.  Deterministic and equivariant."""
-    work = deque(active)
-    nonsingleton = sum(1 for c in cells if len(c) > 1)
-    while work and nonsingleton:
-        splitter = work.popleft()
+@dataclass(slots=True)
+class _Partition:
+    """An ordered partition of the vertices, refined in place.
+
+    ``lab`` lists the vertices cell by cell.  A cell is named by its start,
+    the position of its first vertex in ``lab``; ``end[s]`` is one past its
+    last position (set at starts only) and ``cell_of[v]`` is the start of
+    the cell holding ``v``.  ``open`` counts the cells of two or more.
+    """
+
+    lab: list[int]
+    cell_of: list[int]
+    end: list[int]
+    open: int
+
+    @classmethod
+    def points_then_lines(cls, n_points: int, n: int) -> _Partition:
+        """The points as one cell, then the lines as another."""
+        cell_of = [0] * n_points + [n_points] * (n - n_points)
+        end = [0] * n
+        starts = [s for s in (0, n_points) if s < n]
+        for s, e in zip(starts, starts[1:] + [n]):
+            end[s] = e
+        return cls(list(range(n)), cell_of, end, sum(end[s] - s > 1 for s in starts))
+
+    def starts(self) -> list[int]:
         out = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in cell:
-                buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
-            if len(buckets) == 1:
-                out.append(cell)
-            else:
-                nonsingleton -= 1
-                for key in sorted(buckets):
-                    group = buckets[key]
-                    out.append(group)
-                    work.append(mask_of(group))
-                    if len(group) > 1:
-                        nonsingleton += 1
-        cells = out
-    return cells
+        s = 0
+        while s < len(self.lab):
+            out.append(s)
+            s = self.end[s]
+        return out
+
+    def copy(self) -> _Partition:
+        return _Partition(self.lab[:], self.cell_of[:], self.end[:], self.open)
+
+    def target(self) -> int | None:
+        """Start of the first smallest cell of two or more, if any."""
+        if not self.open:
+            return None
+        end = self.end
+        best, best_size = None, len(self.lab) + 1
+        s = 0
+        while s < len(self.lab):
+            size = end[s] - s
+            if 1 < size < best_size:
+                best, best_size = s, size
+            s = end[s]
+        return best
+
+    def individualize(self, s: int, v: int) -> None:
+        """Split ``v`` off the front of the cell starting at ``s``."""
+        lab, cell_of = self.lab, self.cell_of
+        e = self.end[s]
+        i = lab.index(v, s, e)
+        lab[i] = lab[s]
+        lab[s] = v
+        self.end[s] = s + 1
+        self.end[s + 1] = e
+        for u in lab[s + 1 : e]:
+            cell_of[u] = s + 1
+        if e - s == 2:
+            self.open -= 1
 
 
-def _individualize(cells: list[list[int]], target: int, v: int) -> tuple[list[list[int]], list[int]]:
-    out = []
-    actives = []
-    for idx, cell in enumerate(cells):
-        if idx == target:
-            rest = [u for u in cell if u != v]
-            out.append([v])
-            out.append(rest)
-            actives = [1 << v, mask_of(rest)]
+def _refine(
+    nbrs: list[list[int]],
+    part: _Partition,
+    splitters: list[int],
+    trace: list | None = None,
+    replay: bool = False,
+    budget: _Budget | None = None,
+) -> bool:
+    """Refine ``part`` in place to the coarsest equitable partition finer
+    than it, given that it is already equitable with respect to every cell
+    not listed in ``splitters``.
+
+    Each splitter counts neighbours from its own vertices' lists, and only
+    the cells it touches split, in place, into fragments ordered by count.
+    A split cell that is queued queues all its new fragments; one that is
+    not queued queues all but its first largest fragment (Hopcroft's rule).
+    Every touched cell appends ``(splitter, cell, counts..., sizes...)``
+    to ``trace``.  With ``replay``, each entry is compared with the next
+    one of ``trace`` instead (another run's trace), and refinement stops
+    and returns False at the first that differs.  Deterministic and
+    equivariant.
+    """
+    lab, cell_of, end = part.lab, part.cell_of, part.end
+    queue = deque(splitters)
+    queued = set(splitters)
+    matched = 0
+    while queue and part.open:
+        if budget is not None and not budget.spend():
+            raise _BudgetExceeded
+        sp = queue.popleft()
+        queued.discard(sp)
+        if end[sp] - sp == 1:
+            counts = dict.fromkeys(nbrs[lab[sp]], 1)
         else:
-            out.append(cell)
-    return out, actives
-
-
-def _first_branch_cell(cells: list[list[int]]) -> int | None:
-    best = None
-    best_size = None
-    for idx, cell in enumerate(cells):
-        if len(cell) > 1 and (best_size is None or len(cell) < best_size):
-            best, best_size = idx, len(cell)
-    return best
+            counts = Counter(chain.from_iterable(nbrs[v] for v in lab[sp : end[sp]]))
+        hit: dict[int, list[int]] = {}
+        for w in counts:
+            s = cell_of[w]
+            if end[s] - s > 1:
+                hit.setdefault(s, []).append(w)
+        for s in sorted(hit):
+            touched = hit[s]
+            e = end[s]
+            groups: dict[int, list[int]] = {}
+            for w in touched:
+                groups.setdefault(counts[w], []).append(w)
+            if len(touched) < e - s:
+                groups[0] = [u for u in lab[s:e] if u not in counts]
+            keys = sorted(groups)
+            if trace is not None:
+                entry = (sp, s, *keys, *[len(groups[k]) for k in keys])
+                if not replay:
+                    trace.append(entry)
+                elif matched == len(trace) or trace[matched] != entry:
+                    return False
+                matched += 1
+            if len(keys) == 1:
+                continue
+            frags = []
+            kept, kept_size = s, 0  # the first largest fragment
+            pos = s
+            for k in keys:
+                group = groups[k]
+                size = len(group)
+                lab[pos : pos + size] = group
+                if pos != s:
+                    for u in group:
+                        cell_of[u] = pos
+                end[pos] = pos + size
+                frags.append(pos)
+                if size > kept_size:
+                    kept, kept_size = pos, size
+                if size > 1:
+                    part.open += 1
+                pos += size
+            part.open -= 1
+            if s in queued:
+                kept = s
+            for f in frags:
+                if f != kept:
+                    queue.append(f)
+                    queued.add(f)
+    return not replay or matched == len(trace)
 
 
 # -- canonical search -----------------------------------------------------
@@ -146,8 +253,8 @@ class _Canonicalizer:
     def __init__(self, g: Geometry):
         self.n_points = g.point_count
         self.lines = g.lines
-        self.adj = _incidence_adjacency(g)
-        self.n = len(self.adj)
+        self.nbrs = _incidence_neighbours(g)
+        self.n = len(self.nbrs)
         self.best_cert: tuple | None = None
         self.best_pos: list[int] | None = None  # vertex -> canonical position
         self.best_vertex_at: list[int] | None = None  # position -> vertex
@@ -157,13 +264,10 @@ class _Canonicalizer:
     def run(self) -> CanonicalForm:
         if self.n == 0:
             return CanonicalForm((0, 0, ()), ())
-        base = [list(range(self.n_points))]
-        if self.n > self.n_points:
-            base.append(list(range(self.n_points, self.n)))
-        base = [c for c in base if c]
-        cells = _refine(self.adj, base, [mask_of(c) for c in base])
+        part = _Partition.points_then_lines(self.n_points, self.n)
+        _refine(self.nbrs, part, part.starts())
         try:
-            self._node(cells, ())
+            self._node(part, ())
         except _PruneTo:  # pragma: no cover - cannot outlive the root
             raise GeometryError("internal error: search pruned past the root")
         assert self.best_pos is not None
@@ -176,17 +280,15 @@ class _Canonicalizer:
             sorted(tuple(sorted(pos[p] for p in line)) for line in self.lines)
         )
 
-    def _leaf(self, cells: list[list[int]], path: tuple[int, ...]) -> None:
+    def _leaf(self, part: _Partition, path: tuple[int, ...]) -> None:
         pos = [0] * self.n
-        for position, cell in enumerate(cells):
-            pos[cell[0]] = position
+        for position, v in enumerate(part.lab):
+            pos[v] = position
         cert = self._certificate(pos)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_pos = pos
-            self.best_vertex_at = [0] * self.n
-            for v, p in enumerate(pos):
-                self.best_vertex_at[p] = v
+            self.best_vertex_at = part.lab[:]
             self.best_path = path
             return
         if cert != self.best_cert:
@@ -208,17 +310,10 @@ class _Canonicalizer:
             raise _PruneTo(depth)
 
     def _is_automorphism(self, sigma: tuple[int, ...]) -> bool:
-        adj = self.adj
-        for v in range(self.n):
-            image = 0
-            m = adj[v]
-            while m:
-                lsb = m & -m
-                image |= 1 << sigma[lsb.bit_length() - 1]
-                m ^= lsb
-            if image != adj[sigma[v]]:
-                return False
-        return True
+        nbrs = self.nbrs
+        return all(
+            sorted(sigma[w] for w in nbrs[v]) == nbrs[sigma[v]] for v in range(self.n)
+        )
 
     def _orbit_reps(self, fixed: tuple[int, ...]) -> list[int]:
         parent = list(range(self.n))
@@ -237,16 +332,16 @@ class _Canonicalizer:
                         parent[ra] = rb
         return [find(v) for v in range(self.n)]
 
-    def _node(self, cells: list[list[int]], path: tuple[int, ...]) -> None:
-        target = _first_branch_cell(cells)
+    def _node(self, part: _Partition, path: tuple[int, ...]) -> None:
+        target = part.target()
         if target is None:
-            self._leaf(cells, path)
+            self._leaf(part, path)
             return
         depth = len(path)
         tried: list[int] = []
         roots: list[int] | None = None
         auto_count = -1
-        for v in cells[target]:
+        for v in part.lab[target : part.end[target]]:
             if tried:
                 if auto_count != len(self.autos):
                     roots = self._orbit_reps(path)
@@ -254,8 +349,9 @@ class _Canonicalizer:
                 if any(roots[v] == roots[u] for u in tried):
                     continue
             tried.append(v)
-            child, actives = _individualize(cells, target, v)
-            child = _refine(self.adj, child, actives)
+            child = part.copy()
+            child.individualize(target, v)
+            _refine(self.nbrs, child, [target])
             try:
                 self._node(child, path + (v,))
             except _PruneTo as prune:
@@ -294,93 +390,44 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _refine_pair(adj_a, adj_b, cells_a, cells_b, active_a, active_b, budget):
-    """Refine two partitions in lockstep; None when their shapes diverge."""
-    work_a = deque(active_a)
-    work_b = deque(active_b)
-    while work_a:
-        if not budget.spend():
-            raise _BudgetExceeded
-        sa = work_a.popleft()
-        sb = work_b.popleft()
-        out_a, out_b = [], []
-        for cell_a, cell_b in zip(cells_a, cells_b):
-            if len(cell_a) != len(cell_b):
-                return None
-            if len(cell_a) == 1:
-                out_a.append(cell_a)
-                out_b.append(cell_b)
-                continue
-            ba: dict[int, list[int]] = {}
-            for v in cell_a:
-                ba.setdefault((adj_a[v] & sa).bit_count(), []).append(v)
-            bb: dict[int, list[int]] = {}
-            for v in cell_b:
-                bb.setdefault((adj_b[v] & sb).bit_count(), []).append(v)
-            keys = sorted(ba)
-            if keys != sorted(bb) or any(len(ba[k]) != len(bb[k]) for k in keys):
-                return None
-            if len(keys) == 1:
-                out_a.append(cell_a)
-                out_b.append(cell_b)
-            else:
-                for k in keys:
-                    out_a.append(ba[k])
-                    out_b.append(bb[k])
-                    work_a.append(mask_of(ba[k]))
-                    work_b.append(mask_of(bb[k]))
-        cells_a, cells_b = out_a, out_b
-    return cells_a, cells_b
-
-
 def _search_mapping(g1: Geometry, g2: Geometry, budget: _Budget) -> tuple[int, ...] | None:
-    """Backtracking search for a point bijection guided by lockstep
-    refinement.  Complete: exhausting the tree proves non-isomorphism."""
-    adj_a = _incidence_adjacency(g1)
-    adj_b = _incidence_adjacency(g2)
+    """Backtracking search for a point bijection between geometries with
+    equal point and line counts.  Each node refines the first graph once;
+    each candidate in the second graph reruns the same refinement against
+    that trace and is dropped at its first difference.  Complete:
+    exhausting the tree proves non-isomorphism."""
     n_points = g1.point_count
-
-    def start(adj, g):
-        base = [list(range(g.point_count))]
-        if len(adj) > g.point_count:
-            base.append(list(range(g.point_count, len(adj))))
-        return [c for c in base if c]
-
-    base_a, base_b = start(adj_a, g1), start(adj_b, g2)
-    if [len(c) for c in base_a] != [len(c) for c in base_b]:
-        return None
-    refined = _refine_pair(
-        adj_a, adj_b, base_a, base_b,
-        [mask_of(c) for c in base_a], [mask_of(c) for c in base_b], budget,
-    )
-
+    nbrs_a = _incidence_neighbours(g1)
+    nbrs_b = _incidence_neighbours(g2)
     line_set = g2.line_set
 
-    def recurse(state) -> tuple[int, ...] | None:
-        if state is None:
-            return None
-        cells_a, cells_b = state
-        target = _first_branch_cell(cells_a)
+    def recurse(part_a: _Partition, part_b: _Partition) -> tuple[int, ...] | None:
+        target = part_a.target()
         if target is None:
             mapping = [0] * n_points
-            for cell_a, cell_b in zip(cells_a, cells_b):
-                if cell_a[0] < n_points:
-                    mapping[cell_a[0]] = cell_b[0]
-            if _mapping_ok(g1, line_set, mapping):
-                return tuple(mapping)
-            return None
-        v = cells_a[target][0]
-        child_a, actives_a = _individualize(cells_a, target, v)
-        for w in cells_b[target]:
-            child_b, actives_b = _individualize(cells_b, target, w)
-            result = recurse(
-                _refine_pair(adj_a, adj_b, child_a, child_b, actives_a, actives_b, budget)
-            )
-            if result is not None:
-                return result
+            for v, w in zip(part_a.lab[:n_points], part_b.lab):
+                mapping[v] = w
+            return tuple(mapping) if _mapping_ok(g1, line_set, mapping) else None
+        child_a = part_a.copy()
+        child_a.individualize(target, part_a.lab[target])
+        trace: list = []
+        _refine(nbrs_a, child_a, [target], trace, budget=budget)
+        for w in part_b.lab[target : part_b.end[target]]:
+            child_b = part_b.copy()
+            child_b.individualize(target, w)
+            if _refine(nbrs_b, child_b, [target], trace, True, budget):
+                result = recurse(child_a, child_b)
+                if result is not None:
+                    return result
         return None
 
-    return recurse(refined)
+    root_a = _Partition.points_then_lines(n_points, len(nbrs_a))
+    root_b = _Partition.points_then_lines(n_points, len(nbrs_b))
+    trace: list = []
+    _refine(nbrs_a, root_a, root_a.starts(), trace, budget=budget)
+    if not _refine(nbrs_b, root_b, root_b.starts(), trace, True, budget):
+        return None
+    return recurse(root_a, root_b)
 
 
 def _mapping_ok(g1: Geometry, line_set2: frozenset, mapping: Sequence[int]) -> bool:

@@ -4,9 +4,15 @@ The relabeling battery drives are_isomorphic over 100 seeded random
 relabelings spread across the five built geometries and checks the verdict
 against ground truth every time; every returned mapping is re-verified
 here as well, independently of the library's own verification.
+
+The counting refinement is checked against the plain split loop it
+replaced, kept here as the reference, and against a brute-force test of
+equitability, on the incidence graphs of small random geometries.
 """
 
 import random
+from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +26,8 @@ from nearhex import (
     dual_geometry,
     relabel,
 )
+from nearhex.geometry import mask_of
+from nearhex.iso import _incidence_neighbours, _Partition, _refine
 
 
 def assert_mapping_valid(g1, g2, mapping):
@@ -64,11 +72,16 @@ def test_canonical_form_distinguishes(w2, grid33):
     assert canonical_form(grid33).certificate != canonical_form(w2).certificate
 
 
-def test_canonical_form_invariant_on_hexagon(h3):
+def test_canonical_form_invariant_on_hexagon(h3, h3_debruyn, dsp):
     rng = random.Random(20240817)
-    perm = list(range(105))
-    rng.shuffle(perm)
-    assert canonical_form(relabel(h3, perm)).certificate == canonical_form(h3).certificate
+    for g in (h3, h3_debruyn, dsp):
+        want = canonical_form(g).certificate
+        for _ in range(3):
+            perm = list(range(g.point_count))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)).certificate == want
+    # two constructions of one near hexagon share one certificate
+    assert canonical_form(h3_debruyn).certificate == canonical_form(h3).certificate
 
 
 def test_canonical_relabeling_is_a_point_permutation(h3):
@@ -157,7 +170,7 @@ def test_sts13_pair_needs_certificates():
     invariant (26 triples, 6 lines per point, complete collinearity graph),
     so no invariant separates them.  Within the default budget the lockstep
     search settles the pair by exhausting every branch; their canonical
-    certificates differ as well."""
+    certificates differ as well, and each is invariant under relabeling."""
     a = _cyclic_sts13()
     b = _switched_sts13()
     for g in (a, b):
@@ -171,6 +184,12 @@ def test_sts13_pair_needs_certificates():
     assert not verdict.isomorphic
     assert verdict.detail.startswith("refinement search exhausted")
     assert canonical_form(a).certificate != canonical_form(b).certificate
+    rng = random.Random(13)
+    for g in (a, b):
+        for _ in range(3):
+            perm = list(range(13))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)).certificate == canonical_form(g).certificate
 
 
 def test_certificates_decide_when_the_search_budget_runs_out(monkeypatch):
@@ -193,7 +212,13 @@ def test_certificate_bijection_when_the_search_budget_runs_out(monkeypatch, h3, 
 
 
 def test_sts13_verdict_agrees_with_networkx():
-    """Independent cross-check of the isomorphism decision procedure."""
+    """Independent cross-check of the isomorphism decision procedure.
+
+    Non-isomorphism is proved on the block-intersection graphs (one vertex
+    per triple, two triples adjacent when they share a point), 26 vertices
+    against the incidence graphs' 39.  An isomorphism of the two systems
+    would carry one block-intersection graph onto the other, so graphs that
+    are not isomorphic prove that the systems are not either."""
     nx = pytest.importorskip("networkx")
 
     def incidence_graph(g):
@@ -206,9 +231,117 @@ def test_sts13_verdict_agrees_with_networkx():
                 graph.add_edge(("p", p), ("l", line))
         return graph
 
+    def block_intersection_graph(g):
+        graph = nx.Graph()
+        graph.add_nodes_from(g.lines)
+        graph.add_edges_from(
+            (x, y) for x, y in combinations(g.lines, 2) if set(x) & set(y)
+        )
+        return graph
+
     a = _cyclic_sts13()
     b = _switched_sts13()
-    assert not nx.vf2pp_is_isomorphic(incidence_graph(a), incidence_graph(b))
+    assert not are_isomorphic(a, b).isomorphic
+    assert not nx.vf2pp_is_isomorphic(block_intersection_graph(a), block_intersection_graph(b))
     shuffled = relabel(a, [(3 * p + 1) % 13 for p in range(13)])
     assert nx.vf2pp_is_isomorphic(incidence_graph(a), incidence_graph(shuffled))
     assert are_isomorphic(a, shuffled).isomorphic
+
+
+# -- the counting refinement against the split loop it replaced -----------
+
+
+def naive_refine(adj, cells, active):
+    """Split every cell of two or more by neighbour counts in each active
+    splitter set, queueing every fragment, until nothing changes."""
+    work = deque(active)
+    nonsingleton = sum(1 for c in cells if len(c) > 1)
+    while work and nonsingleton:
+        splitter = work.popleft()
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                buckets.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+            else:
+                nonsingleton -= 1
+                for key in sorted(buckets):
+                    group = buckets[key]
+                    out.append(group)
+                    work.append(mask_of(group))
+                    if len(group) > 1:
+                        nonsingleton += 1
+        cells = out
+    return cells
+
+
+@st.composite
+def small_geometries(draw):
+    n = draw(st.integers(1, 8))
+    if n < 2:
+        return Geometry(n, ())
+    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
+    return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
+
+
+def cells_of(part):
+    """The cells of a partition, after checking its bookkeeping."""
+    cells = [part.lab[s : part.end[s]] for s in part.starts()]
+    assert sorted(part.lab) == list(range(len(part.lab)))
+    assert all(part.cell_of[v] == s for s in part.starts() for v in part.lab[s : part.end[s]])
+    assert part.open == sum(len(c) > 1 for c in cells)
+    return cells
+
+
+def assert_equitable(nbrs, cells):
+    for x in cells:
+        for y in map(set, cells):
+            assert len({len(y.intersection(nbrs[v])) for v in x}) == 1
+
+
+@given(small_geometries(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_refine_matches_the_naive_split_loop(g, data):
+    nbrs = _incidence_neighbours(g)
+    adj = [mask_of(vs) for vs in nbrs]
+    part = _Partition.points_then_lines(g.point_count, len(nbrs))
+    base = cells_of(part)
+    trace = []
+    assert _refine(nbrs, part, part.starts(), trace)
+    refined = cells_of(part)
+    want = naive_refine(adj, base, [mask_of(c) for c in base])
+    assert {frozenset(c) for c in refined} == {frozenset(c) for c in want}
+    assert_equitable(nbrs, refined)
+
+    # a relabeled copy replays the same trace
+    perm = data.draw(st.permutations(range(g.point_count)))
+    copy = relabel(g, perm)
+    nbrs_copy = _incidence_neighbours(copy)
+    part_copy = _Partition.points_then_lines(copy.point_count, len(nbrs_copy))
+    assert _refine(nbrs_copy, part_copy, part_copy.starts(), trace, replay=True)
+
+    # individualize one vertex of a cell of two or more, queue only it
+    choices = [v for v in part.lab if part.end[part.cell_of[v]] - part.cell_of[v] > 1]
+    if not choices:
+        return
+    v = data.draw(st.sampled_from(choices))
+    target = part.cell_of[v]
+    part.individualize(target, v)
+    assert _refine(nbrs, part, [target])
+    refined = cells_of(part)
+    split = []
+    for cell in want:
+        if v in cell:
+            rest = [u for u in cell if u != v]
+            split += [[v], rest]
+            active = [1 << v, mask_of(rest)]
+        else:
+            split.append(cell)
+    want = naive_refine(adj, split, active)
+    assert {frozenset(c) for c in refined} == {frozenset(c) for c in want}
+    assert_equitable(nbrs, refined)
