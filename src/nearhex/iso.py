@@ -27,10 +27,9 @@ mapping is re-verified line by line before being trusted.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Sequence
 
 from .geometry import Geometry, GeometryError
@@ -185,10 +184,10 @@ def _refine(
             raise _BudgetExceeded
         sp = queue.popleft()
         queued.discard(sp)
-        if end[sp] - sp == 1:
-            counts = dict.fromkeys(nbrs[lab[sp]], 1)
-        else:
-            counts = Counter(chain.from_iterable(nbrs[v] for v in lab[sp : end[sp]]))
+        counts: dict[int, int] = {}
+        for v in lab[sp : end[sp]]:
+            for w in nbrs[v]:
+                counts[w] = counts.get(w, 0) + 1
         hit: dict[int, list[int]] = {}
         for w in counts:
             s = cell_of[w]

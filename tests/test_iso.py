@@ -29,6 +29,8 @@ from nearhex import (
 from nearhex.geometry import mask_of
 from nearhex.iso import _incidence_neighbours, _Partition, _refine
 
+from strategies import small_geometries
+
 
 def assert_mapping_valid(g1, g2, mapping):
     assert sorted(mapping) == list(range(g1.point_count))
@@ -278,15 +280,6 @@ def naive_refine(adj, cells, active):
                         nonsingleton += 1
         cells = out
     return cells
-
-
-@st.composite
-def small_geometries(draw):
-    n = draw(st.integers(1, 8))
-    if n < 2:
-        return Geometry(n, ())
-    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
-    return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
 
 
 def cells_of(part):

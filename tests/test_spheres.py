@@ -26,14 +26,7 @@ from nearhex import (
 )
 from nearhex.geometry import UNREACHABLE
 
-
-@st.composite
-def small_geometries(draw):
-    n = draw(st.integers(1, 8))
-    if n < 2:
-        return Geometry(n, ())
-    line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
-    return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
+from strategies import small_geometries
 
 
 def bfs_rows(g):
