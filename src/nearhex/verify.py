@@ -20,7 +20,7 @@ from .geometry import (
     Geometry,
     GeometryError,
     bits_of,
-    convex_closure,
+    convex_closures,
     induced_geometry,
     mask_of,
     metrics,
@@ -174,18 +174,17 @@ def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
 
 def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """Convex closures of all distance-2 pairs with >= 2 common neighbours,
-    deduplicated and classified.
+    computed in one :func:`convex_closures` call, deduplicated and
+    classified.
 
     Every such pair is closed, also when it lies in a quad already found:
     skipping it would assume the uniqueness of quads that this checks.
     """
     if not check_np(g).ok:
         raise GeometryError("quad enumeration expects a near polygon")
+    pairs = ((x, y) for x, y, common in _distance_two_pairs(g) if common >= 2)
     seen: dict[frozenset[int], QuadRecord] = {}
-    for x, y, common in _distance_two_pairs(g):
-        if common < 2:
-            continue
-        pts = convex_closure(g, (x, y))
+    for pts in convex_closures(g, pairs):
         if pts not in seen:
             seen[pts] = _classify_quad(g, pts)
     return sorted(seen.values(), key=lambda r: sorted(r.points))

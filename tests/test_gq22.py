@@ -4,10 +4,14 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from nearhex import (
+    Geometry,
     GeometryError,
     complete_triad_through,
+    dual_geometry,
+    enumerate_quads,
     enumerate_triads,
     incomplete_triad_subgq,
     induced_geometry,
@@ -17,6 +21,8 @@ from nearhex import (
 from nearhex.geometry import collinear
 from nearhex.gq22 import EDGE_INDEX, EDGES
 from nearhex.labels import Edge
+
+from strategies import small_geometries
 
 
 def eidx(name):
@@ -50,6 +56,57 @@ def test_point_off_line_has_unique_neighbour_on_it(w2):
 def test_is_gq_w2_and_grid(w2, grid33):
     assert is_gq(w2).order == (2, 2)
     assert is_gq(grid33).order == (2, 1)
+
+
+def gq_order_by_axioms(g):
+    """The order ``(s, t)`` of ``g`` read straight off the quadrangle axioms,
+    or None: any two points on at most one line, every line on s+1 points,
+    every point on t+1 lines, and every point off a line collinear with
+    exactly one of its points."""
+    lines = [set(line) for line in g.lines]
+    points = range(g.point_count)
+
+    def lines_through(*pts):
+        return [line for line in lines if set(pts) <= line]
+
+    if not lines or any(len(lines_through(a, b)) > 1 for a, b in combinations(points, 2)):
+        return None
+    sizes = {len(line) for line in lines}
+    degrees = {len(lines_through(p)) for p in points}
+    if len(sizes) != 1 or len(degrees) != 1:
+        return None
+    for line in lines:
+        for x in points:
+            if x not in line and sum(1 for y in line if lines_through(x, y)) != 1:
+                return None
+    return (sizes.pop() - 1, degrees.pop() - 1)
+
+
+@given(small_geometries())
+@settings(max_examples=300, deadline=None)
+def test_is_gq_matches_the_axioms(g):
+    verdict, want = is_gq(g), gq_order_by_axioms(g)
+    assert verdict.ok == (want is not None)
+    assert verdict.order == want
+
+
+def test_is_gq_matches_the_axioms_on_known_cases(w2, grid33, h3):
+    square = Geometry(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    # rows of 3 and columns of 2: every other axiom holds
+    grid23 = Geometry(6, ((0, 1, 2), (3, 4, 5), (0, 3), (1, 4), (2, 5)))
+    quads = {q.kind: induced_geometry(h3, q.points) for q in enumerate_quads(h3)}
+    cases = [
+        (w2, (2, 2)),
+        (grid33, (2, 1)),
+        (dual_geometry(grid33), (1, 2)),
+        (square, (1, 1)),
+        (grid23, None),
+        (quads["grid21"], (2, 1)),
+        (quads["gq22"], (2, 2)),
+    ]
+    for g, order in cases:
+        assert gq_order_by_axioms(g) == order
+        assert is_gq(g).order == order
 
 
 def test_is_gq_rejects_h3(h3):

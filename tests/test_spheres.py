@@ -19,6 +19,7 @@ from nearhex import (
     GeometryError,
     check_np,
     convex_closure,
+    convex_closures,
     enumerate_quads,
     is_subspace,
     line_distance_profiles,
@@ -120,6 +121,29 @@ def test_convex_closure_matches_oracle(g, data):
     assert is_subspace(g, closure)
 
 
+@given(small_geometries(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_convex_closures_match_oracle_seed_by_seed(g, data):
+    # seeds share one call, so a bit leaking from one seed into another
+    # shows as a closure that differs from the seed's own
+    full = frozenset(range(g.point_count))
+    seed = st.one_of(
+        st.sets(st.integers(0, g.point_count - 1), min_size=1), st.just(full)
+    )
+    seeds = data.draw(st.lists(seed, min_size=1, max_size=4))
+    if len(seeds) > 1 and data.draw(st.booleans()):
+        seeds[-1] = seeds[0]
+    assert convex_closures(g, seeds) == [closure_oracle(g, s) for s in seeds]
+
+
+def test_convex_closures_of_no_seeds_and_of_an_empty_seed(w2):
+    assert convex_closures(w2, []) == []
+    with pytest.raises(GeometryError):
+        convex_closures(w2, [{0, 1}, set()])
+    with pytest.raises(GeometryError):
+        convex_closure(w2, ())
+
+
 @given(small_geometries())
 @settings(max_examples=150, deadline=None)
 def test_check_np_matches_rows(g):
@@ -168,22 +192,26 @@ def test_convex_closure_adds_the_interval_of_a_far_pair():
     assert convex_closure(path, {0, 3}) == closure_oracle(path, {0, 3})
 
 
-def test_enumerate_quads_closes_every_qualifying_pair(dsp, monkeypatch):
+def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
     calls = []
-    real = nearhex.verify.convex_closure
+    real = nearhex.verify.convex_closures
 
-    def counting(g, points):
-        calls.append(tuple(points))
-        return real(g, points)
+    def recording(g, seeds):
+        seeds = list(seeds)
+        calls.append(seeds)
+        return real(g, seeds)
 
-    monkeypatch.setattr(nearhex.verify, "convex_closure", counting)
-    quads = enumerate_quads(dsp)
-    rows, adj = dsp.distance_rows, dsp.adjacency
-    qualifying = [
-        (x, y)
-        for x, y in combinations(range(dsp.point_count), 2)
-        if rows[x][y] == 2 and (adj[x] & adj[y]).bit_count() >= 2
-    ]
-    assert len(qualifying) == 3780
-    assert sorted(calls) == qualifying
-    assert len(quads) == 63
+    monkeypatch.setattr(nearhex.verify, "convex_closures", recording)
+    for g, pair_count in ((dsp, 3780), (h3, 2310)):
+        calls.clear()
+        quads = enumerate_quads(g)
+        rows, adj = g.distance_rows, g.adjacency
+        qualifying = [
+            (x, y)
+            for x, y in combinations(range(g.point_count), 2)
+            if rows[x][y] == 2 and (adj[x] & adj[y]).bit_count() >= 2
+        ]
+        assert len(qualifying) == pair_count
+        assert len(calls) == 1
+        assert sorted(tuple(seed) for seed in calls[0]) == qualifying
+        assert len(quads) == 63
