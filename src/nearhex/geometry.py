@@ -113,30 +113,41 @@ class Geometry:
 
     @cached_property
     def distance_spheres(self) -> tuple[tuple[int, ...], ...]:
-        """Per point, its BFS layers in the collinearity graph as bitmasks.
+        """Per point, its distance layers in the collinearity graph as bitmasks.
 
         ``distance_spheres[p][k]`` is the set of points at distance ``k`` from
         ``p``; the layers stop at the farthest reachable point, so points in
-        no layer are unreachable from ``p``.
+        no layer are unreachable from ``p``, and no layer is empty.
+
+        All balls grow together, one radius per round: a line's ball is the
+        union of the balls of its points, and the ball of radius ``k + 1``
+        around ``p`` is the union of the balls of the lines through ``p``.
+        A point stops when its ball stops growing or holds every point.
         """
-        adj = self.adjacency
         full = self.full_mask
-        spheres = []
-        for s in range(self.point_count):
-            seen = frontier = 1 << s
-            layers = [frontier]
-            while seen != full:
-                nxt = 0
-                for v in bits_of(frontier):
-                    nxt |= adj[v]
-                nxt &= ~seen
-                if not nxt:
-                    break
-                layers.append(nxt)
-                seen |= nxt
-                frontier = nxt
-            spheres.append(tuple(layers))
-        return tuple(spheres)
+        through = self.lines_by_point
+        balls = [1 << p for p in range(self.point_count)]
+        spheres = [[ball] for ball in balls]
+        growing = [p for p in range(self.point_count) if through[p]]
+        while growing:
+            line_balls = []
+            for line in self.lines:
+                ball = 0
+                for p in line:
+                    ball |= balls[p]
+                line_balls.append(ball)
+            still = []
+            for p in growing:
+                ball = 0
+                for i in through[p]:
+                    ball |= line_balls[i]
+                if ball != balls[p]:
+                    spheres[p].append(ball & ~balls[p])
+                    balls[p] = ball
+                    if ball != full:
+                        still.append(p)
+            growing = still
+        return tuple(map(tuple, spheres))
 
     @cached_property
     def distance_rows(self) -> tuple[tuple[int, ...], ...]:

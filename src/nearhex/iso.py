@@ -457,14 +457,10 @@ def _invariant_mismatch(g1: Geometry, g2: Geometry) -> str | None:
     if sorted(map(len, g1.lines_by_point)) != sorted(map(len, g2.lines_by_point)):
         return "degree sequences differ"
 
+    # with equal point counts, the sphere sizes of a point fix its distance
+    # histogram, unreachable points included
     def dist_census(g: Geometry):
-        out = []
-        for row in g.distance_rows:
-            hist: dict[int, int] = {}
-            for d in row:
-                hist[d] = hist.get(d, 0) + 1
-            out.append(tuple(sorted(hist.items())))
-        return sorted(out)
+        return sorted(tuple(map(int.bit_count, layers)) for layers in g.distance_spheres)
 
     if dist_census(g1) != dist_census(g2):
         return "distance distributions differ"

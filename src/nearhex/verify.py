@@ -342,10 +342,10 @@ def _case_scan(g: Geometry, sides: list, table: dict[str, Case]) -> list[CaseRep
     A pair the labels call non-collinear but that is collinear records its
     distance 1, so it fails any "common" case as well.
     """
-    adj, rows, names = g.adjacency, g.distance_rows, g.labels
+    adj, spheres, names = g.adjacency, g.distance_spheres, g.labels
     found = {case: ({}, []) for case in table}  # histogram, witnesses
     for i, (side_i, data_i) in enumerate(sides):
-        adj_i, row_i = adj[i], rows[i]
+        adj_i, layers_i = adj[i], spheres[i]
         for j in range(i + 1, len(sides)):
             side_j, data_j = sides[j]
             if side_i == side_j == "pair":
@@ -356,7 +356,11 @@ def _case_scan(g: Geometry, sides: list, table: dict[str, Case]) -> list[CaseRep
             if measure == "common" and not adj_i >> j & 1:
                 value = (adj_i & adj[j]).bit_count()
             else:
-                value = row_i[j]
+                value, bit = UNREACHABLE, 1 << j
+                for d, layer in enumerate(layers_i):
+                    if layer & bit:
+                        value = d
+                        break
             hist, witnesses = found[case]
             hist[value] = hist.get(value, 0) + 1
             if value != want and len(witnesses) < 10:

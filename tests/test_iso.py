@@ -7,7 +7,10 @@ here as well, independently of the library's own verification.
 
 The counting refinement is checked against the plain split loop it
 replaced, kept here as the reference, and against a brute-force test of
-equitability, on the incidence graphs of small random geometries.
+equitability, on the incidence graphs of small random geometries.  The
+cheap invariants are checked against a form that takes the distance
+census from histograms of the ``distance_rows`` rows, kept here as the
+reference too.
 """
 
 import random
@@ -27,7 +30,7 @@ from nearhex import (
     relabel,
 )
 from nearhex.geometry import mask_of
-from nearhex.iso import _incidence_neighbours, _Partition, _refine
+from nearhex.iso import _incidence_neighbours, _invariant_mismatch, _Partition, _refine
 
 from strategies import small_geometries
 
@@ -117,6 +120,73 @@ def test_same_counts_different_structure(w2):
     star = Geometry(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6)))
     verdict = are_isomorphic(triangle, star)
     assert not verdict.isomorphic
+
+
+def test_distance_census_separates_a_hexagon_from_two_triangles():
+    # six 2-point lines each, so the same counts, line sizes and degrees,
+    # but the two triangles are disconnected
+    hexagon = Geometry(6, tuple((i, (i + 1) % 6) for i in range(6)))
+    triangles = Geometry(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    verdict = are_isomorphic(hexagon, triangles)
+    assert not verdict.isomorphic
+    assert verdict.mapping is None
+    assert verdict.detail == "distance distributions differ"
+
+
+def invariant_mismatch_by_rows(g1, g2):
+    """``_invariant_mismatch`` with a histogram of each ``distance_rows``
+    row as the distance census: the reference for the sphere sizes."""
+    if g1.point_count != g2.point_count:
+        return f"point counts differ: {g1.point_count} vs {g2.point_count}"
+    if len(g1.lines) != len(g2.lines):
+        return f"line counts differ: {len(g1.lines)} vs {len(g2.lines)}"
+    if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
+        return "line size multisets differ"
+    if sorted(map(len, g1.lines_by_point)) != sorted(map(len, g2.lines_by_point)):
+        return "degree sequences differ"
+
+    def dist_census(g):
+        out = []
+        for row in g.distance_rows:
+            hist = {}
+            for d in row:
+                hist[d] = hist.get(d, 0) + 1
+            out.append(tuple(sorted(hist.items())))
+        return sorted(out)
+
+    if dist_census(g1) != dist_census(g2):
+        return "distance distributions differ"
+    return None
+
+
+@st.composite
+def equal_size_pairs(draw):
+    """Two geometries on the same number of points: either two independent
+    ones, the smaller padded with isolated points, or one and a relabeled
+    copy in which pairs of lines traded a point, which keeps line sizes
+    and degrees, so that the distance census decides."""
+    if draw(st.booleans()):
+        g1, g2 = draw(small_geometries()), draw(small_geometries())
+        n = max(g1.point_count, g2.point_count)
+        return Geometry(n, g1.lines), Geometry(n, g2.lines)
+    g1 = draw(small_geometries().filter(lambda g: len(g.lines) >= 3))
+    lines = [set(line) for line in g1.lines]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        if lines[i] - lines[j] and lines[j] - lines[i]:
+            a = draw(st.sampled_from(sorted(lines[i] - lines[j])))
+            b = draw(st.sampled_from(sorted(lines[j] - lines[i])))
+            lines[i] ^= {a, b}
+            lines[j] ^= {a, b}
+    perm = draw(st.permutations(range(g1.point_count)))
+    return g1, Geometry(g1.point_count, tuple(tuple(perm[p] for p in line) for line in lines))
+
+
+@given(equal_size_pairs())
+@settings(max_examples=300, deadline=None)
+def test_invariant_mismatch_matches_the_row_census(pair):
+    g1, g2 = pair
+    assert _invariant_mismatch(g1, g2) == invariant_mismatch_by_rows(g1, g2)
 
 
 def test_grid_not_isomorphic_to_its_dual(grid33):

@@ -25,6 +25,8 @@ from nearhex import (
     line_distance_profiles,
     validate_pls,
 )
+from nearhex.acceptance import run_acceptance
+from nearhex.cli import MODELS, main
 from nearhex.geometry import UNREACHABLE
 
 from strategies import small_geometries
@@ -215,3 +217,23 @@ def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
         assert len(calls) == 1
         assert sorted(tuple(seed) for seed in calls[0]) == qualifying
         assert len(quads) == 63
+
+
+def test_no_command_builds_distance_rows(monkeypatch, tmp_path, capsys):
+    """``distance_rows`` is a view for callers; the acceptance suite,
+    ``verify`` and ``iso`` read the spheres alone."""
+
+    def refuse(self):
+        raise AssertionError("distance_rows built")
+
+    monkeypatch.setattr(Geometry, "distance_rows", property(refuse))
+    assert all(r.verdict in ("pass", "info") for r in run_acceptance())
+    for model in MODELS:
+        assert main(["verify", "--model", model]) == 0
+    files = {}
+    for model in ("h3", "h3-partition", "dsp62"):
+        files[model] = str(tmp_path / f"{model}.json")
+        assert main(["build", "--model", model, "--out", files[model]]) == 0
+    assert main(["iso", files["h3"], files["h3-partition"]]) == 0
+    assert main(["iso", files["h3"], files["dsp62"]]) == 1
+    capsys.readouterr()
