@@ -148,8 +148,15 @@ def incomplete_triad_subgq(g: Geometry, triad: Triad) -> frozenset[int]:
         if p not in tset
         and sum(adj[p] >> t & 1 for t in triad.elements) >= 2
     ]
+    # a 9-point (2,1)-GQ has 9 * 2 / 3 = 6 lines, so only the sets with
+    # exactly 6 lines inside them go to the full check
+    line_masks = g.line_masks
+    triad_mask = mask_of(tset)
     found = []
     for rest in combinations(candidates, 6):
+        outside = ~(triad_mask | mask_of(rest))
+        if sum(not lm & outside for lm in line_masks) != 6:
+            continue
         pts = frozenset(tset) | frozenset(rest)
         if is_gq(induced_geometry(g, pts)).order == (2, 1):
             found.append(pts)

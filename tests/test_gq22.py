@@ -19,7 +19,7 @@ from nearhex import (
     perp,
 )
 from nearhex.geometry import collinear
-from nearhex.gq22 import EDGE_INDEX, EDGES
+from nearhex.gq22 import EDGE_INDEX, EDGES, Triad
 from nearhex.labels import Edge
 
 from strategies import small_geometries
@@ -163,6 +163,45 @@ def test_every_incomplete_triad_has_unique_grid(w2):
         if t.kind == "incomplete":
             grids.add(incomplete_triad_subgq(w2, t))  # raises unless unique
     assert len(grids) == 10
+
+
+def grids_unfiltered(g, triad):
+    """Every 9-set of the grid search that induces a (2,1)-GQ, each checked
+    in full: the search without the six-line prefilter."""
+    adj = g.adjacency
+    candidates = [
+        p
+        for p in range(g.point_count)
+        if p not in triad.elements and sum(adj[p] >> t & 1 for t in triad.elements) >= 2
+    ]
+    return [
+        frozenset(triad.elements) | frozenset(rest)
+        for rest in combinations(candidates, 6)
+        if is_gq(induced_geometry(g, frozenset(triad.elements) | frozenset(rest))).order
+        == (2, 1)
+    ]
+
+
+def test_grid_search_matches_the_unfiltered_search(w2):
+    incomplete = [t for t in enumerate_triads(w2, "points") if t.kind == "incomplete"]
+    assert len(incomplete) == 60
+    for t in incomplete:
+        assert [incomplete_triad_subgq(w2, t)] == grids_unfiltered(w2, t)
+
+
+def test_grid_search_raises_when_no_grid_contains_the_triad():
+    # a 3x3 grid with its last column traded for the diagonal {2,4,6}, and
+    # a line {5,8,9} that keeps 5 a candidate: the 9-set {0..8} has six
+    # lines inside but point 5 lies on one of them only, so it is no grid
+    g = Geometry(
+        10,
+        ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 4, 6), (5, 8, 9)),
+    )
+    triad = Triad((0, 4, 8), "incomplete", perp(g, (0, 4, 8)))
+    assert triad.perp_set == {6}
+    assert grids_unfiltered(g, triad) == []
+    with pytest.raises(GeometryError, match="found 0 grids"):
+        incomplete_triad_subgq(g, triad)
 
 
 def test_subgq_rejects_complete_triads(w2):

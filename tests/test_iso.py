@@ -114,12 +114,23 @@ def test_hexagon_vs_dsp(h3, dsp):
 
 
 def test_same_counts_different_structure(w2):
-    # a triangle of 3-point lines vs three concurrent 3-point lines:
-    # equal line counts and sizes, different degree sequences
-    triangle = Geometry(6, ((0, 1, 3), (1, 2, 4), (0, 2, 5)))
+    # a triangle of 3-point lines plus an isolated point vs three concurrent
+    # 3-point lines: equal point and line counts and line sizes, different
+    # degree sequences
+    triangle = Geometry(7, ((0, 1, 3), (1, 2, 4), (0, 2, 5)))
     star = Geometry(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6)))
     verdict = are_isomorphic(triangle, star)
     assert not verdict.isomorphic
+    assert verdict.mapping is None
+    assert verdict.detail == "degree sequences differ"
+
+
+def test_same_counts_different_line_sizes():
+    # two lines on four points each, one of them with three points
+    verdict = are_isomorphic(Geometry(4, ((0, 1, 2), (2, 3))), Geometry(4, ((0, 1), (2, 3))))
+    assert not verdict.isomorphic
+    assert verdict.mapping is None
+    assert verdict.detail == "line size multisets differ"
 
 
 def test_distance_census_separates_a_hexagon_from_two_triangles():

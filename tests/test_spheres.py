@@ -53,14 +53,14 @@ def bfs_rows(g):
     return tuple(rows)
 
 
-def closure_oracle(g, seed):
-    """The smallest superset of ``seed`` that is a subspace and holds every
-    geodesic between two of its members, by trying every superset."""
+def closed_sets(g):
+    """Every set of points that is a subspace and holds every geodesic
+    between two of its members, by trying every set."""
     rows = g.distance_rows
     closed = []
     for m in range(1 << g.point_count):
         pts = {p for p in range(g.point_count) if m >> p & 1}
-        if not seed <= pts or not is_subspace(g, pts):
+        if not is_subspace(g, pts):
             continue
         if all(
             z in pts
@@ -70,9 +70,16 @@ def closure_oracle(g, seed):
             if rows[a][z] != UNREACHABLE and rows[a][z] + rows[z][b] == rows[a][b]
         ):
             closed.append(frozenset(pts))
-    smallest = min(closed, key=len)
+    return closed
+
+
+def closure_oracle(g, seed, closed=None):
+    """The smallest closed superset of ``seed``, from ``closed_sets(g)``
+    unless those are given."""
+    supersets = [c for c in closed or closed_sets(g) if seed <= c]
+    smallest = min(supersets, key=len)
     # closed sets are closed under intersection, so the smallest is unique
-    assert all(smallest <= c for c in closed)
+    assert all(smallest <= c for c in supersets)
     return smallest
 
 
@@ -136,6 +143,28 @@ def test_convex_closures_match_oracle_seed_by_seed(g, data):
     if len(seeds) > 1 and data.draw(st.booleans()):
         seeds[-1] = seeds[0]
     assert convex_closures(g, seeds) == [closure_oracle(g, s) for s in seeds]
+
+
+@given(small_geometries(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_convex_closures_match_oracle_past_the_first_byte(g, data):
+    # 9 to 40 seeds set seed bits past the first byte of the final sweep's
+    # view; repeated, nested and all-point seeds give closures shared by
+    # several seeds and closures strictly inside others
+    n = g.point_count
+    seed = st.one_of(
+        st.frozensets(st.integers(0, n - 1), min_size=1), st.just(frozenset(range(n)))
+    )
+    seeds = data.draw(st.lists(seed, min_size=9, max_size=40))
+    for i in range(len(seeds)):
+        j = data.draw(st.integers(0, len(seeds) - 1))
+        how = data.draw(st.sampled_from(("keep", "repeat", "nest")))
+        if how == "repeat":
+            seeds[i] = seeds[j]
+        elif how == "nest":
+            seeds[i] = seeds[i] | seeds[j]
+    closed = closed_sets(g)
+    assert convex_closures(g, seeds) == [closure_oracle(g, s, closed) for s in seeds]
 
 
 def test_convex_closures_of_no_seeds_and_of_an_empty_seed(w2):
