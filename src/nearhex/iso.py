@@ -2,12 +2,16 @@
 
 Both entry points work on the bipartite incidence graph (point vertices
 first, then one vertex per line) with one counting refinement,
-:func:`_refine`: the ordered partition is a vertex array with cell starts,
-each splitter cell counts neighbours through its own vertices' neighbour
-lists, and only the cells it touches split in place, by count.  A Hopcroft
-queue keeps out the first largest fragment of a cell that is not itself
-queued, and after individualizing a vertex only its singleton is queued
-(McKay & Piperno, *Practical Graph Isomorphism II*, 2014).
+:func:`_refine`: the ordered partition is a vertex array with cell starts
+and its inverse, each splitter cell counts neighbours through its own
+vertices' neighbour lists, and only the cells it touches split in place,
+by count.  A split moves only the touched vertices: the untouched keep the
+front of the cell, so its cost follows the neighbour visits, not the cell
+sizes.  A Hopcroft queue keeps out the first largest fragment of a cell
+that is not itself queued, and after individualizing a vertex only its
+singleton is queued.  Both searches branch on the first largest cell, so
+a few levels of individualization make the partition discrete (McKay &
+Piperno, *Practical Graph Isomorphism II*, 2014).
 
 :func:`canonical_form` runs a backtracking individualization-refinement
 search over that graph, keeping the lexicographically least certificate
@@ -92,13 +96,15 @@ def _incidence_neighbours(g: Geometry) -> list[list[int]]:
 class _Partition:
     """An ordered partition of the vertices, refined in place.
 
-    ``lab`` lists the vertices cell by cell.  A cell is named by its start,
-    the position of its first vertex in ``lab``; ``end[s]`` is one past its
-    last position (set at starts only) and ``cell_of[v]`` is the start of
-    the cell holding ``v``.  ``open`` counts the cells of two or more.
+    ``lab`` lists the vertices cell by cell and ``pos`` is its inverse:
+    ``lab[pos[v]] == v``.  A cell is named by its start, the position of
+    its first vertex in ``lab``; ``end[s]`` is one past its last position
+    (set at starts only) and ``cell_of[v]`` is the start of the cell
+    holding ``v``.  ``open`` counts the cells of two or more.
     """
 
     lab: list[int]
+    pos: list[int]
     cell_of: list[int]
     end: list[int]
     open: int
@@ -111,7 +117,8 @@ class _Partition:
         starts = [s for s in (0, n_points) if s < n]
         for s, e in zip(starts, starts[1:] + [n]):
             end[s] = e
-        return cls(list(range(n)), cell_of, end, sum(end[s] - s > 1 for s in starts))
+        open_cells = sum(end[s] - s > 1 for s in starts)
+        return cls(list(range(n)), list(range(n)), cell_of, end, open_cells)
 
     def starts(self) -> list[int]:
         out = []
@@ -122,29 +129,33 @@ class _Partition:
         return out
 
     def copy(self) -> _Partition:
-        return _Partition(self.lab[:], self.cell_of[:], self.end[:], self.open)
+        return _Partition(self.lab[:], self.pos[:], self.cell_of[:], self.end[:], self.open)
 
     def target(self) -> int | None:
-        """Start of the first smallest cell of two or more, if any."""
+        """Start of the first largest cell of two or more, if any: a
+        function of the cell sizes alone, so relabeling-invariant."""
         if not self.open:
             return None
         end = self.end
-        best, best_size = None, len(self.lab) + 1
+        best, best_size = None, 1
         s = 0
         while s < len(self.lab):
             size = end[s] - s
-            if 1 < size < best_size:
+            if size > best_size:
                 best, best_size = s, size
             s = end[s]
         return best
 
     def individualize(self, s: int, v: int) -> None:
         """Split ``v`` off the front of the cell starting at ``s``."""
-        lab, cell_of = self.lab, self.cell_of
+        lab, pos, cell_of = self.lab, self.pos, self.cell_of
         e = self.end[s]
-        i = lab.index(v, s, e)
-        lab[i] = lab[s]
+        i = pos[v]
+        u = lab[s]
+        lab[i] = u
+        pos[u] = i
         lab[s] = v
+        pos[v] = s
         self.end[s] = s + 1
         self.end[s + 1] = e
         for u in lab[s + 1 : e]:
@@ -167,15 +178,18 @@ def _refine(
 
     Each splitter counts neighbours from its own vertices' lists, and only
     the cells it touches split, in place, into fragments ordered by count.
-    A split cell that is queued queues all its new fragments; one that is
-    not queued queues all but its first largest fragment (Hopcroft's rule).
-    Every touched cell appends ``(splitter, cell, counts..., sizes...)``
-    to ``trace``.  With ``replay``, each entry is compared with the next
-    one of ``trace`` instead (another run's trace), and refinement stops
-    and returns False at the first that differs.  Deterministic and
-    equivariant.
+    Only the touched vertices move: the untouched ones (count 0) keep the
+    front of the cell and its start, and the touched ones are swapped to
+    the back and written there by count, so a split costs the touched
+    vertices, not the cell.  A split cell that is queued queues all its
+    new fragments; one that is not queued queues all but its first
+    largest fragment (Hopcroft's rule).  Every touched cell appends
+    ``(splitter, cell, counts..., sizes...)`` to ``trace``.  With
+    ``replay``, each entry is compared with the next one of ``trace``
+    instead (another run's trace), and refinement stops and returns False
+    at the first that differs.  Deterministic and equivariant.
     """
-    lab, cell_of, end = part.lab, part.cell_of, part.end
+    lab, pos, cell_of, end = part.lab, part.pos, part.cell_of, part.end
     queue = deque(splitters)
     queued = set(splitters)
     matched = 0
@@ -199,35 +213,56 @@ def _refine(
             groups: dict[int, list[int]] = {}
             for w in touched:
                 groups.setdefault(counts[w], []).append(w)
-            if len(touched) < e - s:
-                groups[0] = [u for u in lab[s:e] if u not in counts]
             keys = sorted(groups)
+            back = e - len(touched)  # where the touched vertices go
             if trace is not None:
-                entry = (sp, s, *keys, *[len(groups[k]) for k in keys])
+                sizes = [len(groups[k]) for k in keys]
+                if back > s:
+                    entry = (sp, s, 0, *keys, back - s, *sizes)
+                else:
+                    entry = (sp, s, *keys, *sizes)
                 if not replay:
                     trace.append(entry)
                 elif matched == len(trace) or trace[matched] != entry:
                     return False
                 matched += 1
-            if len(keys) == 1:
+            if back == s and len(keys) == 1:
                 continue
             frags = []
             kept, kept_size = s, 0  # the first largest fragment
-            pos = s
+            if back > s:
+                # the untouched keep the front: move every touched vertex
+                # in front of ``back`` onto an untouched one behind it
+                j = back
+                for w in touched:
+                    i = pos[w]
+                    if i < back:
+                        while lab[j] in counts:
+                            j += 1
+                        u = lab[j]
+                        lab[i] = u
+                        pos[u] = i
+                        j += 1
+                end[s] = back
+                frags.append(s)
+                kept_size = back - s
+                if kept_size > 1:
+                    part.open += 1
+            at = back
             for k in keys:
                 group = groups[k]
                 size = len(group)
-                lab[pos : pos + size] = group
-                if pos != s:
-                    for u in group:
-                        cell_of[u] = pos
-                end[pos] = pos + size
-                frags.append(pos)
+                for i, w in enumerate(group, at):
+                    lab[i] = w
+                    pos[w] = i
+                    cell_of[w] = at
+                end[at] = at + size
+                frags.append(at)
                 if size > kept_size:
-                    kept, kept_size = pos, size
+                    kept, kept_size = at, size
                 if size > 1:
                     part.open += 1
-                pos += size
+                at += size
             part.open -= 1
             if s in queued:
                 kept = s

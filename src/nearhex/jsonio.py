@@ -31,7 +31,8 @@ def geometry_to_document(g: Geometry, name: str) -> dict:
 def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
     """Read a geometry document, rejecting what ``Geometry`` would quietly
     normalise: a repeated point on a line, a line given twice, and booleans
-    as point ids or line entries."""
+    as point ids or line entries.  Labels must be distinct as well, since a
+    mapping is printed label by label."""
     if not isinstance(doc, dict):
         raise GeometryError("geometry document must be a JSON object")
     try:
@@ -51,6 +52,8 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
         labels.append(str(entry.get("label", entry["id"])))
     if ids != list(range(len(ids))):
         raise GeometryError("point ids must be 0..n-1 in order")
+    if len(set(labels)) != len(labels):
+        raise GeometryError("point labels must be distinct")
     seen = set()
     for line in lines:
         if not isinstance(line, list) or not all(type(p) is int for p in line):

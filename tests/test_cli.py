@@ -217,6 +217,24 @@ def test_loading_rejects_what_geometry_would_normalise(tmp_path, capsys, points,
     assert err.startswith("error:")
 
 
+def test_loading_rejects_repeated_labels(tmp_path, capsys):
+    # a mapping is printed label by label, so a repeated label would drop
+    # an entry from it
+    doc = {
+        "name": "x",
+        "points": [{"id": 0, "label": "x"}, {"id": 1, "label": "x"}, {"id": 2, "label": "y"}],
+        "lines": [[0, 1, 2]],
+    }
+    with pytest.raises(GeometryError, match="labels"):
+        document_to_geometry(doc)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "iso", str(path), str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_closed_stdout_is_an_output_error(monkeypatch, capsys):
     class ClosedPipe:
         def write(self, text):

@@ -6,8 +6,9 @@ against ground truth every time; every returned mapping is re-verified
 here as well, independently of the library's own verification.
 
 The counting refinement is checked against the plain split loop it
-replaced, kept here as the reference, and against a brute-force test of
-equitability, on the incidence graphs of small random geometries.  The
+replaced, kept here as the reference, against a brute-force test of
+equitability, and against a relabeled copy that replays its trace to the
+image partition, on the incidence graphs of small random geometries.  The
 cheap invariants are checked against a form that takes the distance
 census from histograms of the ``distance_rows`` rows, kept here as the
 reference too.
@@ -77,16 +78,17 @@ def test_canonical_form_distinguishes(w2, grid33):
     assert canonical_form(grid33).certificate != canonical_form(w2).certificate
 
 
-def test_canonical_form_invariant_on_hexagon(h3, h3_debruyn, dsp):
+def test_canonical_form_invariant_on_hexagon(h3, h3_partitions, h3_debruyn, dsp):
     rng = random.Random(20240817)
-    for g in (h3, h3_debruyn, dsp):
+    for g in (h3, h3_partitions, h3_debruyn, dsp):
         want = canonical_form(g).certificate
         for _ in range(3):
             perm = list(range(g.point_count))
             rng.shuffle(perm)
             assert canonical_form(relabel(g, perm)).certificate == want
-    # two constructions of one near hexagon share one certificate
-    assert canonical_form(h3_debruyn).certificate == canonical_form(h3).certificate
+    # the three constructions of one near hexagon share one certificate
+    for g in (h3_partitions, h3_debruyn):
+        assert canonical_form(g).certificate == canonical_form(h3).certificate
 
 
 def test_canonical_relabeling_is_a_point_permutation(h3):
@@ -367,6 +369,7 @@ def cells_of(part):
     """The cells of a partition, after checking its bookkeeping."""
     cells = [part.lab[s : part.end[s]] for s in part.starts()]
     assert sorted(part.lab) == list(range(len(part.lab)))
+    assert all(part.pos[v] == i for i, v in enumerate(part.lab))
     assert all(part.cell_of[v] == s for s in part.starts() for v in part.lab[s : part.end[s]])
     assert part.open == sum(len(c) > 1 for c in cells)
     return cells
@@ -392,12 +395,17 @@ def test_refine_matches_the_naive_split_loop(g, data):
     assert {frozenset(c) for c in refined} == {frozenset(c) for c in want}
     assert_equitable(nbrs, refined)
 
-    # a relabeled copy replays the same trace
+    # a relabeled copy replays the same trace, to the image partition
     perm = data.draw(st.permutations(range(g.point_count)))
     copy = relabel(g, perm)
     nbrs_copy = _incidence_neighbours(copy)
+    line_index = {line: li for li, line in enumerate(copy.lines)}
+    image = perm + [
+        g.point_count + line_index[tuple(sorted(perm[p] for p in line))] for line in g.lines
+    ]
     part_copy = _Partition.points_then_lines(copy.point_count, len(nbrs_copy))
     assert _refine(nbrs_copy, part_copy, part_copy.starts(), trace, replay=True)
+    assert [set(c) for c in cells_of(part_copy)] == [{image[u] for u in c} for c in refined]
 
     # individualize one vertex of a cell of two or more, queue only it
     choices = [v for v in part.lab if part.end[part.cell_of[v]] - part.cell_of[v] > 1]
@@ -406,8 +414,16 @@ def test_refine_matches_the_naive_split_loop(g, data):
     v = data.draw(st.sampled_from(choices))
     target = part.cell_of[v]
     part.individualize(target, v)
-    assert _refine(nbrs, part, [target])
+    trace = []
+    assert _refine(nbrs, part, [target], trace)
     refined = cells_of(part)
+
+    # and so does the copy with the image of v individualized
+    assert part_copy.cell_of[image[v]] == target
+    part_copy.individualize(target, image[v])
+    assert _refine(nbrs_copy, part_copy, [target], trace, replay=True)
+    assert [set(c) for c in cells_of(part_copy)] == [{image[u] for u in c} for c in refined]
+
     split = []
     for cell in want:
         if v in cell:
