@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .geometry import (
     Geometry,
     GeometryError,
+    _check_points,
+    bits_of,
     collinear,
     dual_geometry,
-    induced_geometry,
     mask_of,
     perp,
-    validate_pls,
 )
 from .labels import Edge
 
@@ -57,37 +57,75 @@ class GqVerdict(NamedTuple):
         return self.order is not None
 
 
-def is_gq(g: Geometry) -> GqVerdict:
-    """Decide whether ``g`` is a generalized quadrangle and find its order.
+def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
+    """Decide whether the geometry induced on ``points`` (all of ``g`` by
+    default) is a generalized quadrangle, and find its order.
 
     Checks, in order: partial linear space, constant line size s+1, constant
     number t+1 of lines per point, and the one-point axiom (every point off
     a line is collinear with exactly one of its points).  The witness names
-    the first failure.
+    the first failure, by ``g``'s point and line indices.
+
+    Everything is read off ``g``'s bitmasks, so the induced geometry is
+    never built.  Its lines are those of ``g`` through the set's points that
+    have no point outside it; its points keep their degree, which is 0 on no
+    such line.  Two of those lines through ``p`` share a second point
+    exactly when the sum of their sizes less one exceeds the size of ``p``'s
+    neighbourhood on them.  The one-point axiom is checked a line at a time:
+    the points off the line must lie in the neighbourhood of exactly one of
+    its points.  Out-of-range points raise :class:`GeometryError`.
     """
-    pls = validate_pls(g)
-    if not pls.ok:
-        (a, b), i, j = pls.violations[0]
-        return GqVerdict(None, f"points {a},{b} lie on lines {i} and {j}")
-    if not g.lines:
+    m = g.full_mask if points is None else mask_of(_check_points(g, points))
+    outside = ~m
+    lines, line_masks, through = g.lines, g.line_masks, g.lines_by_point
+    # the lines inside, each met through its first point; since the lines
+    # are sorted and the points come in increasing order, so do the indices
+    inside = []
+    nbr = {}
+    degrees = set()
+    pls = True
+    for p in bits_of(m):
+        near = span = degree = 0
+        for i in through[p]:
+            lm = line_masks[i]
+            if not lm & outside:
+                near |= lm
+                span += len(lines[i]) - 1
+                degree += 1
+                if lines[i][0] == p:
+                    inside.append(i)
+        near &= ~(1 << p)
+        nbr[p] = near
+        degrees.add(degree)
+        pls = pls and span == near.bit_count()
+    if not pls:
+        first: dict[tuple[int, int], int] = {}
+        for i in inside:
+            for pair in combinations(lines[i], 2):
+                if pair in first:
+                    a, b = pair
+                    return GqVerdict(None, f"points {a},{b} lie on lines {first[pair]} and {i}")
+                first[pair] = i
+    if not inside:
         return GqVerdict(None, "no lines")
-    sizes = {len(line) for line in g.lines}
+    sizes = {len(lines[i]) for i in inside}
     if len(sizes) != 1:
         return GqVerdict(None, f"line sizes vary: {sorted(sizes)}")
-    degrees = {len(t) for t in g.lines_by_point}
     if len(degrees) != 1:
         return GqVerdict(None, f"lines per point vary: {sorted(degrees)}")
-    adj = g.adjacency
-    for li, line in enumerate(g.lines):
-        lm = mask_of(line)
-        for x in range(g.point_count):
-            if lm >> x & 1:
-                continue
-            hits = (adj[x] & lm).bit_count()
-            if hits != 1:
-                return GqVerdict(
-                    None, f"point {x} is collinear with {hits} points of line {li}"
-                )
+    for li in inside:
+        once = twice = 0
+        for q in lines[li]:
+            near = nbr[q]
+            twice |= once & near
+            once |= near
+        bad = m & ~line_masks[li] & ~(once & ~twice)
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            hits = (nbr[x] & line_masks[li]).bit_count()
+            return GqVerdict(
+                None, f"point {x} is collinear with {hits} points of line {li}"
+            )
     return GqVerdict((sizes.pop() - 1, degrees.pop() - 1), None)
 
 
@@ -158,7 +196,7 @@ def incomplete_triad_subgq(g: Geometry, triad: Triad) -> frozenset[int]:
         if sum(not lm & outside for lm in line_masks) != 6:
             continue
         pts = frozenset(tset) | frozenset(rest)
-        if is_gq(induced_geometry(g, pts)).order == (2, 1):
+        if is_gq(g, pts).order == (2, 1):
             found.append(pts)
     if len(found) != 1:
         raise GeometryError(

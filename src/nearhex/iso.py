@@ -17,7 +17,10 @@ Piperno, *Practical Graph Isomorphism II*, 2014).
 search over that graph, keeping the lexicographically least certificate
 over all branches.  Automorphisms discovered when two branches produce the
 same certificate are used to skip orbit-equivalent candidates, which is
-what makes the search fast on these highly symmetric geometries.
+what makes the search fast on these highly symmetric geometries.  A node
+joins the orbits on its target cell through the cell's own vertices, only
+when new automorphisms have arrived, and stops once every vertex of the
+cell lies in the orbit of a tried one.
 
 :func:`are_isomorphic` first rejects on cheap invariants, then looks for an
 explicit bijection with a lockstep search on the two graphs (the fast path
@@ -284,14 +287,17 @@ class _PruneTo(Exception):
 
 
 class _Orbits:
-    """Union-find over the vertices for the orbits of the automorphisms that
-    fix ``fixed`` pointwise.  One search node keeps one, and each
+    """Union-find over a target cell for the orbits of the automorphisms
+    that fix ``fixed`` pointwise.  One search node keeps one, and each
     :meth:`merge` takes in only the automorphisms found since the last, as
-    the earlier merges stay valid."""
+    the earlier merges stay valid.  Such an automorphism maps the cell onto
+    itself, since refinement commutes with automorphisms, so the orbits on
+    the cell are joined through the cell's own vertices alone."""
 
-    def __init__(self, n: int, fixed: tuple[int, ...]):
+    def __init__(self, n: int, fixed: tuple[int, ...], cell: list[int]):
         self.parent = list(range(n))
         self.fixed = fixed
+        self.cell = cell
         self.merged = 0
 
     def find(self, a: int) -> int:
@@ -304,7 +310,8 @@ class _Orbits:
     def merge(self, autos: list[tuple[int, ...]]) -> None:
         for sigma in autos[self.merged :]:
             if all(sigma[f] == f for f in self.fixed):
-                for v, w in enumerate(sigma):
+                for v in self.cell:
+                    w = sigma[v]
                     if v != w:
                         ra, rb = self.find(v), self.find(w)
                         if ra != rb:
@@ -384,15 +391,21 @@ class _Canonicalizer:
             self._leaf(part, path)
             return
         depth = len(path)
+        cell = part.lab[target : part.end[target]]
         tried: list[int] = []
-        orbits = _Orbits(self.n, path)
-        for v in part.lab[target : part.end[target]]:
-            if tried:
+        roots: set[int] = set()  # the roots of the tried vertices' orbits
+        orbits = _Orbits(self.n, path, cell)
+        for k, v in enumerate(cell):
+            if tried and orbits.merged < len(self.autos):
                 orbits.merge(self.autos)
-                root = orbits.find(v)
-                if any(orbits.find(u) == root for u in tried):
-                    continue
+                roots = {orbits.find(u) for u in tried}
+                if all(orbits.find(u) in roots for u in cell[k:]):
+                    break
+            root = orbits.find(v)
+            if root in roots:
+                continue
             tried.append(v)
+            roots.add(root)
             child = part.copy()
             child.individualize(target, v)
             _refine(self.nbrs, child, [target])

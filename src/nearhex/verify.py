@@ -21,7 +21,7 @@ from .geometry import (
     GeometryError,
     bits_of,
     convex_closures,
-    induced_geometry,
+    induced_metrics,
     mask_of,
     metrics,
 )
@@ -155,21 +155,25 @@ class QuadRecord:
 
 
 def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
-    sub = induced_geometry(g, pts)
-    connected, diameter = metrics(sub)
+    """Classify a closure on ``g``'s bitmasks, without building the geometry
+    it induces: its collinearity graph must have diameter 2 with no point
+    collinear with all others, and :func:`is_gq` then names its order.  A
+    witness names the first failure, by ``g``'s point and line indices."""
+    connected, diameter = induced_metrics(g, pts)
     if not connected or diameter != 2:
         return QuadRecord(pts, "other", None, f"closure has diameter {diameter}")
     adj = g.adjacency
     m = mask_of(pts)
-    for p in pts:
+    for p in bits_of(m):
         if adj[p] & m == m & ~(1 << p):
             return QuadRecord(pts, "other", None, f"point {p} adjacent to all others")
-    verdict: GqVerdict = is_gq(sub)
+    verdict: GqVerdict = is_gq(g, pts)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
     if verdict.order == (2, 2):
         return QuadRecord(pts, "gq22", verdict.order)
-    return QuadRecord(pts, "other", verdict.order, verdict.witness)
+    witness = f"generalized quadrangle of order {verdict.order}" if verdict.ok else verdict.witness
+    return QuadRecord(pts, "other", verdict.order, witness)
 
 
 def enumerate_quads(g: Geometry) -> list[QuadRecord]:

@@ -19,6 +19,7 @@ from nearhex import (
     third_point,
     validate_pls,
 )
+from nearhex.geometry import bits_of
 from nearhex.gq22 import EDGE_INDEX
 
 E = {
@@ -201,6 +202,20 @@ def test_induced_geometry_keeps_only_interior_lines(w2):
     sub = induced_geometry(w2, {a, b, c, 0 if 0 not in w2.lines[0] else 4})
     assert sub.point_count == 4
     assert len(sub.lines) == 1
+
+
+@given(st.integers(0, 1 << 3100))
+@settings(max_examples=100, deadline=None)
+def test_bits_of_matches_a_scan(mask):
+    assert bits_of(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_bits_of_edge_cases():
+    assert bits_of(0) == []
+    assert bits_of(1) == [0]
+    wide = 1 << 3779 | 1 << 3000 | 1 << 64 | 1
+    assert bits_of(wide) == [0, 64, 3000, 3779]
+    assert bits_of((1 << 3780) - 1) == list(range(3780))
 
 
 def test_dual_geometry(w2, grid33):

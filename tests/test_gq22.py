@@ -1,10 +1,12 @@
 """The edge/factor quadrangle and its triad structure, scanned exhaustively."""
 
+import re
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearhex import (
     Geometry,
@@ -16,9 +18,10 @@ from nearhex import (
     incomplete_triad_subgq,
     induced_geometry,
     is_gq,
+    metrics,
     perp,
 )
-from nearhex.geometry import collinear
+from nearhex.geometry import collinear, induced_metrics
 from nearhex.gq22 import EDGE_INDEX, EDGES, Triad
 from nearhex.labels import Edge
 
@@ -58,36 +61,50 @@ def test_is_gq_w2_and_grid(w2, grid33):
     assert is_gq(grid33).order == (2, 1)
 
 
-def gq_order_by_axioms(g):
+def gq_verdict_by_axioms(g):
     """The order ``(s, t)`` of ``g`` read straight off the quadrangle axioms,
-    or None: any two points on at most one line, every line on s+1 points,
-    every point on t+1 lines, and every point off a line collinear with
-    exactly one of its points."""
+    or None, with a witness for the first axiom that fails: any two points
+    on at most one line, every line on s+1 points, every point on t+1
+    lines, and every point off a line collinear with exactly one of its
+    points."""
     lines = [set(line) for line in g.lines]
     points = range(g.point_count)
 
     def lines_through(*pts):
-        return [line for line in lines if set(pts) <= line]
+        return [i for i, line in enumerate(lines) if set(pts) <= line]
 
-    if not lines or any(len(lines_through(a, b)) > 1 for a, b in combinations(points, 2)):
-        return None
+    for i, line in enumerate(g.lines):
+        for a, b in combinations(line, 2):
+            first = lines_through(a, b)[0]
+            if first < i:
+                return None, f"points {a},{b} lie on lines {first} and {i}"
+    if not lines:
+        return None, "no lines"
     sizes = {len(line) for line in lines}
+    if len(sizes) != 1:
+        return None, f"line sizes vary: {sorted(sizes)}"
     degrees = {len(lines_through(p)) for p in points}
-    if len(sizes) != 1 or len(degrees) != 1:
-        return None
-    for line in lines:
+    if len(degrees) != 1:
+        return None, f"lines per point vary: {sorted(degrees)}"
+    for i, line in enumerate(lines):
         for x in points:
-            if x not in line and sum(1 for y in line if lines_through(x, y)) != 1:
-                return None
-    return (sizes.pop() - 1, degrees.pop() - 1)
+            hits = sum(1 for y in line if lines_through(x, y)) if x not in line else 1
+            if hits != 1:
+                return None, f"point {x} is collinear with {hits} points of line {i}"
+    return (sizes.pop() - 1, degrees.pop() - 1), None
+
+
+def gq_order_by_axioms(g):
+    return gq_verdict_by_axioms(g)[0]
 
 
 @given(small_geometries())
 @settings(max_examples=300, deadline=None)
 def test_is_gq_matches_the_axioms(g):
-    verdict, want = is_gq(g), gq_order_by_axioms(g)
+    verdict, (want, witness) = is_gq(g), gq_verdict_by_axioms(g)
     assert verdict.ok == (want is not None)
     assert verdict.order == want
+    assert verdict.witness == witness
 
 
 def test_is_gq_matches_the_axioms_on_known_cases(w2, grid33, h3):
@@ -107,6 +124,102 @@ def test_is_gq_matches_the_axioms_on_known_cases(w2, grid33, h3):
     for g, order in cases:
         assert gq_order_by_axioms(g) == order
         assert is_gq(g).order == order
+
+
+def lifted_witness(g, pts, witness):
+    """A witness for ``induced_geometry(g, pts)`` with its point and line
+    indices taken back to ``g``'s."""
+    order = sorted(set(pts))
+    sub = induced_geometry(g, pts)
+    line_index = {line: i for i, line in enumerate(g.lines)}
+
+    def point(q):
+        return str(order[int(q)])
+
+    def line(j):
+        return str(line_index[tuple(order[q] for q in sub.lines[int(j)])])
+
+    if found := re.fullmatch(r"points (\d+),(\d+) lie on lines (\d+) and (\d+)", witness or ""):
+        a, b, i, j = found.groups()
+        return f"points {point(a)},{point(b)} lie on lines {line(i)} and {line(j)}"
+    if found := re.fullmatch(r"point (\d+) is collinear with (\d+) points of line (\d+)", witness or ""):
+        x, hits, li = found.groups()
+        return f"point {point(x)} is collinear with {hits} points of line {line(li)}"
+    return witness
+
+
+def check_point_set(g, pts):
+    """``is_gq`` and ``induced_metrics`` on a point set against the induced
+    geometry, built and checked against the axioms one by one."""
+    sub = induced_geometry(g, pts)
+    order, witness = gq_verdict_by_axioms(sub)
+    verdict = is_gq(g, pts)
+    assert verdict.order == order
+    assert verdict.witness == lifted_witness(g, pts, witness)
+    assert induced_metrics(g, pts) == metrics(sub)
+
+
+@st.composite
+def geometries_with_point_sets(draw):
+    g = draw(small_geometries())
+    return g, draw(st.sets(st.integers(0, g.point_count - 1)))
+
+
+@given(geometries_with_point_sets())
+@settings(max_examples=100, deadline=None)
+def test_is_gq_on_a_point_set_matches_the_induced_geometry(case):
+    g, pts = case
+    check_point_set(g, pts)
+    assert is_gq(g, range(g.point_count)) == is_gq(g)
+
+
+@pytest.fixture(scope="module")
+def named(w2, h3):
+    """Geometries with their quads (all of the space for W(2) and the two
+    projective spaces): W(2), H3, the Fano plane and the complete graph K5,
+    whose points off a line are collinear with 3 and 2 of its points."""
+    fano = Geometry(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)))
+    k5 = Geometry(5, tuple(combinations(range(5), 2)))
+    return {
+        "w2": (w2, [range(15)]),
+        "h3": (h3, [sorted(q.points) for q in enumerate_quads(h3)]),
+        "fano": (fano, [range(7)]),
+        "k5": (k5, [range(5)]),
+    }
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_gq_on_point_sets_of_named_geometries(named, data):
+    """Random small sets, and quads with a few points toggled, so that GQs
+    of both orders and near misses all occur."""
+    g, quads = named[data.draw(st.sampled_from(sorted(named)))]
+    if data.draw(st.booleans()):
+        pts = data.draw(st.sets(st.integers(0, g.point_count - 1), max_size=18))
+    else:
+        pts = set(data.draw(st.sampled_from(quads)))
+        pts ^= data.draw(st.sets(st.integers(0, g.point_count - 1), max_size=3))
+    check_point_set(g, pts)
+
+
+def test_is_gq_on_a_point_set_names_g_indices(grid33):
+    # the grid on points 2..10 of an 11-point geometry whose first line,
+    # {0,1,2}, leaves the set: verdicts read g's indices, and point 0 added
+    # to the grid lies on no line inside, so its degree is 0
+    g = Geometry(11, ((0, 1, 2),) + tuple(tuple(p + 2 for p in line) for line in grid33.lines))
+    grid = range(2, 11)
+    assert is_gq(g, grid) == ((2, 1), None)
+    assert is_gq(g, [*grid, 0]) == (None, "lines per point vary: [0, 2]")
+    assert is_gq(g) == (None, "lines per point vary: [1, 2, 3]")
+    # a triangle on points 2, 3, 4 behind the line {0,1}
+    triangle = Geometry(5, ((0, 1), (2, 3), (2, 4), (3, 4)))
+    assert is_gq(triangle, {2, 3, 4}) == (None, "point 4 is collinear with 2 points of line 1")
+    # two lines sharing points 2 and 3, behind the line {0,1}
+    double = Geometry(6, ((0, 1), (2, 3, 4), (2, 3, 5), (4, 5)))
+    assert is_gq(double, {2, 3, 4, 5}) == (None, "points 2,3 lie on lines 1 and 2")
+    assert is_gq(g, []) == (None, "no lines")
+    with pytest.raises(GeometryError, match="point index 11 out of range"):
+        is_gq(g, [0, 11])
 
 
 def test_is_gq_rejects_h3(h3):

@@ -21,6 +21,7 @@ from nearhex import (
     line_distance_profiles,
     parameters,
 )
+from nearhex.verify import QuadRecord, _classify_quad
 
 
 def test_parameters_w2(w2):
@@ -111,6 +112,40 @@ def test_quads_dsp(dsp):
     records = enumerate_quads(dsp)
     census = Counter((r.kind, len(r.points)) for r in records)
     assert census == {("gq22", 15): 63}
+
+
+def test_classify_quad_witnesses():
+    """Every verdict of the quad classifier, each with its exact witness;
+    points and lines are named by the parent geometry's indices."""
+    hexagon = Geometry(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
+    two_lines = Geometry(6, ((0, 1, 2), (3, 4, 5)))
+    pencil = Geometry(5, ((0, 1, 2), (0, 3, 4)))
+    # a pentagon on points 2..6 behind the line {0,1,2}
+    pentagon = Geometry(7, ((0, 1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)))
+    k33 = Geometry(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
+    square = Geometry(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    cases = [
+        (hexagon, range(6), None, "closure has diameter 3"),
+        (two_lines, range(6), None, "closure has diameter 1"),
+        (pencil, range(5), None, "point 0 adjacent to all others"),
+        (pentagon, range(2, 7), None, "point 5 is collinear with 0 points of line 1"),
+        (k33, range(6), (1, 2), "generalized quadrangle of order (1, 2)"),
+        (square, range(4), (1, 1), "generalized quadrangle of order (1, 1)"),
+    ]
+    for g, pts, order, witness in cases:
+        pts = frozenset(pts)
+        assert _classify_quad(g, pts) == QuadRecord(pts, "other", order, witness)
+
+
+def test_quads_of_other_orders_carry_a_witness():
+    k33 = Geometry(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
+    square = Geometry(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    assert enumerate_quads(k33) == [
+        QuadRecord(frozenset(range(6)), "other", (1, 2), "generalized quadrangle of order (1, 2)")
+    ]
+    assert enumerate_quads(square) == [
+        QuadRecord(frozenset(range(4)), "other", (1, 1), "generalized quadrangle of order (1, 1)")
+    ]
 
 
 def test_quad_double_counting(h3, dsp):
