@@ -9,27 +9,31 @@ by count.  A split moves only the touched vertices: the untouched keep the
 front of the cell, so its cost follows the neighbour visits, not the cell
 sizes.  A Hopcroft queue keeps out the first largest fragment of a cell
 that is not itself queued, and after individualizing a vertex only its
-singleton is queued.  Both searches branch on the first largest cell, so
-a few levels of individualization make the partition discrete (McKay &
-Piperno, *Practical Graph Isomorphism II*, 2014).
+singleton is queued.
 
-:func:`canonical_form` runs a backtracking individualization-refinement
-search over that graph, keeping the lexicographically least certificate
-over all branches.  Automorphisms discovered when two branches produce the
-same certificate are used to skip orbit-equivalent candidates, which is
-what makes the search fast on these highly symmetric geometries.  A node
-joins the orbits on its target cell through the cell's own vertices, only
-when new automorphisms have arrived, and stops once every vertex of the
-cell lies in the orbit of a tried one.
+One tree walker, :class:`_Walker`, serves both entry points (McKay &
+Piperno, *Practical Graph Isomorphism II*, 2014).  Each node branches on
+the first largest cell, so a few levels of individualization make the
+partition discrete.  Each leaf is compared with the first leaf and with
+the least one so far; an equal certificate gives an automorphism, which
+unwinds the walk to where the two paths part and skips orbit-equivalent
+candidates from then on.  A node joins the orbits on its target cell
+through the cell's own vertices, only when new automorphisms have
+arrived, and stops once every vertex of the cell lies in the orbit of a
+tried one.  Because leaves are compared with the first leaf, the
+automorphisms found generate the stabiliser of each prefix of the first
+path, and the order of the automorphism group comes out as the product of
+the orbit lengths along that path.
 
-:func:`are_isomorphic` first rejects on cheap invariants, then looks for an
-explicit bijection with a lockstep search on the two graphs (the fast path
-for actually-isomorphic inputs), falling back to certificate comparison
-when that search runs out of budget.  At each node the first graph's
-refinement records a trace (splitter, cell, and the count and size of
-each fragment); each candidate in the second graph reruns the same
-refinement and is dropped at its first entry that differs.  Any returned
-mapping is re-verified line by line before being trusted.
+:func:`canonical_form` keeps the least certificate, with a relabeling
+achieving it and that group order.  :func:`are_isomorphic` first rejects
+on cheap invariants.  It then walks the first graph's first path once,
+recording the refinement trace at every level (splitter, cell, and the
+count and size of each fragment), and walks the second graph's tree
+guided by it: each child must replay the trace of its depth and is
+dropped at its first entry that differs.  The walk stops at the first
+leaf whose point bijection carries the first graph's lines onto the
+second's; running out of tree proves that there is none.
 """
 
 from __future__ import annotations
@@ -37,23 +41,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import Geometry, GeometryError
-
-_SEARCH_BUDGET = 200_000
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
     """A relabeling-invariant certificate plus a relabeling achieving it.
 
     ``certificate`` is ``(point_count, line_count, canonical_lines)``;
-    ``relabeling[p]`` is the canonical index of point ``p``.
+    ``relabeling[p]`` is the canonical index of point ``p``; ``aut_order``
+    is the number of point permutations that carry the lines onto
+    themselves.
     """
 
     certificate: tuple
     relabeling: tuple[int, ...]
+    aut_order: int
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,6 @@ def _refine(
     splitters: list[int],
     trace: list | None = None,
     replay: bool = False,
-    budget: _Budget | None = None,
 ) -> bool:
     """Refine ``part`` in place to the coarsest equitable partition finer
     than it, given that it is already equitable with respect to every cell
@@ -197,8 +200,6 @@ def _refine(
     queued = set(splitters)
     matched = 0
     while queue and part.open:
-        if budget is not None and not budget.spend():
-            raise _BudgetExceeded
         sp = queue.popleft()
         queued.discard(sp)
         counts: dict[int, int] = {}
@@ -276,11 +277,11 @@ def _refine(
     return not replay or matched == len(trace)
 
 
-# -- canonical search -----------------------------------------------------
+# -- the tree walk --------------------------------------------------------
 
 
 class _PruneTo(Exception):
-    """Unwind the search to the node at the given depth."""
+    """Unwind the walk to the node at the given depth; -1 stops it."""
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -319,65 +320,117 @@ class _Orbits:
         self.merged = len(autos)
 
 
-class _Canonicalizer:
-    def __init__(self, g: Geometry):
+class _Guide(NamedTuple):
+    """The first path of ``g1``'s tree, which a guided walk on ``g2``
+    follows: the refinement trace at the root and after each level's
+    individualization, the leaf's vertex order, and ``g1``'s lines."""
+
+    traces: list[list]
+    lab: list[int]
+    lines: tuple[tuple[int, ...], ...]
+
+
+def _guide(g: Geometry) -> _Guide:
+    """Walk ``g``'s first path: refine the root, then individualize the
+    first vertex of the target cell at each level, recording every trace."""
+    nbrs = _incidence_neighbours(g)
+    part = _Partition.points_then_lines(g.point_count, len(nbrs))
+    traces: list[list] = [[]]
+    _refine(nbrs, part, part.starts(), traces[0])
+    while (target := part.target()) is not None:
+        part.individualize(target, part.lab[target])
+        traces.append([])
+        _refine(nbrs, part, [target], traces[-1])
+    return _Guide(traces, part.lab, g.lines)
+
+
+@dataclass(slots=True)
+class _Leaf:
+    """A discrete partition the walk reached: its certificate, its vertex
+    order and the inverse, and the individualized vertices on its path."""
+
+    cert: tuple
+    lab: list[int]
+    pos: list[int]
+    path: tuple[int, ...]
+
+
+class _Walker:
+    """Depth-first individualization-refinement over one geometry's tree.
+
+    Every leaf is compared with the first leaf and then with the least one
+    so far.  An equal certificate gives an automorphism, which is checked,
+    kept for orbit pruning, and unwinds the walk to the level where the two
+    paths part, since the subtrees below coincide.  Without a ``guide``,
+    ``best`` ends as the least leaf, and the automorphisms found generate
+    the stabiliser of each prefix of the first path, so ``aut_order``, the
+    product of the orbit lengths of the first path's vertices at its nodes,
+    is the order of the automorphism group.
+
+    With a ``guide`` from ``g1``, each refinement must replay the guide's
+    trace at its depth, and the walk stops at the first leaf whose point
+    bijection from ``g1``'s leaf carries ``g1``'s lines onto this
+    geometry's, leaving it in ``mapping``; a leaf that fails still prunes by
+    automorphisms.
+    """
+
+    def __init__(self, g: Geometry, guide: _Guide | None = None):
         self.n_points = g.point_count
         self.lines = g.lines
+        self.line_set = g.line_set
         self.nbrs = _incidence_neighbours(g)
         self.n = len(self.nbrs)
-        self.best_cert: tuple | None = None
-        self.best_pos: list[int] | None = None  # vertex -> canonical position
-        self.best_vertex_at: list[int] | None = None  # position -> vertex
-        self.best_path: tuple[int, ...] = ()
+        self.guide = guide
+        self.first: _Leaf | None = None
+        self.best: _Leaf | None = None
         self.autos: list[tuple[int, ...]] = []
+        self.aut_order = 1
+        self.mapping: tuple[int, ...] | None = None
 
-    def run(self) -> CanonicalForm:
-        if self.n == 0:
-            return CanonicalForm((0, 0, ()), ())
+    def run(self) -> None:
         part = _Partition.points_then_lines(self.n_points, self.n)
-        _refine(self.nbrs, part, part.starts())
+        if not self._refine(part, part.starts(), 0):
+            return
         try:
             self._node(part, ())
-        except _PruneTo:  # pragma: no cover - cannot outlive the root
-            raise GeometryError("internal error: search pruned past the root")
-        assert self.best_pos is not None
-        relabeling = tuple(self.best_pos[: self.n_points])
-        cert = (self.n_points, len(self.lines), self.best_cert)
-        return CanonicalForm(cert, relabeling)
+        except _PruneTo:  # a guided walk found its mapping
+            pass
 
-    def _certificate(self, pos: list[int]) -> tuple:
-        return tuple(
-            sorted(tuple(sorted(pos[p] for p in line)) for line in self.lines)
-        )
+    def _refine(self, part: _Partition, splitters: list[int], depth: int) -> bool:
+        if self.guide is None:
+            return _refine(self.nbrs, part, splitters)
+        return _refine(self.nbrs, part, splitters, self.guide.traces[depth], True)
 
     def _leaf(self, part: _Partition, path: tuple[int, ...]) -> None:
+        lab = part.lab
+        if self.guide is not None:
+            mapping = [0] * self.n_points
+            for v, w in zip(self.guide.lab[: self.n_points], lab):
+                mapping[v] = w
+            if _mapping_ok(self.guide.lines, self.line_set, mapping):
+                self.mapping = tuple(mapping)
+                raise _PruneTo(-1)
         pos = [0] * self.n
-        for position, v in enumerate(part.lab):
+        for position, v in enumerate(lab):
             pos[v] = position
-        cert = self._certificate(pos)
-        if self.best_cert is None or cert < self.best_cert:
-            self.best_cert = cert
-            self.best_pos = pos
-            self.best_vertex_at = part.lab[:]
-            self.best_path = path
+        cert = tuple(sorted(tuple(sorted(pos[p] for p in line)) for line in self.lines))
+        if self.first is None:
+            self.first = self.best = _Leaf(cert, lab, pos, path)
             return
-        if cert != self.best_cert:
-            return
-        sigma = tuple(self.best_vertex_at[pos[v]] for v in range(self.n))
-        if not (any(sigma[v] != v for v in range(self.n)) and self._is_automorphism(sigma)):
-            return
-        self.autos.append(sigma)
-        # cells split in place, so the position of an individualized vertex
-        # is fixed once created; equal certificates therefore mean sigma
-        # carries this leaf's path onto the best leaf's path, the subtrees
-        # rooted at their first difference coincide, and the search can
-        # unwind to that level
-        depth = 0
-        limit = min(len(path), len(self.best_path))
-        while depth < limit and path[depth] == self.best_path[depth]:
-            depth += 1
-        if depth < len(path):
-            raise _PruneTo(depth)
+        for known in (self.first, self.best):
+            if cert != known.cert:
+                continue
+            # cells split in place, so an individualized vertex keeps its
+            # position: sigma carries this leaf's path onto the known one's
+            sigma = tuple(known.lab[pos[v]] for v in range(self.n))
+            if self._is_automorphism(sigma):
+                self.autos.append(sigma)
+                depth = 0
+                while path[depth] == known.path[depth]:
+                    depth += 1
+                raise _PruneTo(depth)
+        if cert < self.best.cert:
+            self.best = _Leaf(cert, lab, pos, path)
 
     def _is_automorphism(self, sigma: tuple[int, ...]) -> bool:
         nbrs = self.nbrs
@@ -391,6 +444,7 @@ class _Canonicalizer:
             self._leaf(part, path)
             return
         depth = len(path)
+        on_first_path = self.first is None
         cell = part.lab[target : part.end[target]]
         tried: list[int] = []
         roots: set[int] = set()  # the roots of the tried vertices' orbits
@@ -408,91 +462,35 @@ class _Canonicalizer:
             roots.add(root)
             child = part.copy()
             child.individualize(target, v)
-            _refine(self.nbrs, child, [target])
+            if not self._refine(child, [target], depth + 1):
+                continue
             try:
                 self._node(child, path + (v,))
             except _PruneTo as prune:
                 if prune.depth < depth:
                     raise
                 # this candidate's subtree repeats an explored sibling's
-
-
-def _canonical_form_uncached(g: Geometry) -> CanonicalForm:
-    return _Canonicalizer(g).run()
+        if on_first_path:
+            orbits.merge(self.autos)
+            root = orbits.find(cell[0])
+            self.aut_order *= sum(orbits.find(u) == root for u in cell)
 
 
 @lru_cache(maxsize=32)
-def _canonical_form_cached(g: Geometry) -> CanonicalForm:
-    return _canonical_form_uncached(g)
-
-
 def canonical_form(g: Geometry) -> CanonicalForm:
-    """Canonical certificate of the incidence structure (labels ignored)."""
-    return _canonical_form_cached(g)
+    """Canonical certificate of the incidence structure (labels ignored),
+    with a relabeling achieving it and the order of the automorphism group."""
+    walker = _Walker(g)
+    walker.run()
+    best = walker.best
+    certificate = (g.point_count, len(g.lines), best.cert)
+    return CanonicalForm(certificate, tuple(best.pos[: g.point_count]), walker.aut_order)
 
 
-# -- explicit isomorphism search ------------------------------------------
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _search_mapping(g1: Geometry, g2: Geometry, budget: _Budget) -> tuple[int, ...] | None:
-    """Backtracking search for a point bijection between geometries with
-    equal point and line counts.  Each node refines the first graph once;
-    each candidate in the second graph reruns the same refinement against
-    that trace and is dropped at its first difference.  Complete:
-    exhausting the tree proves non-isomorphism."""
-    n_points = g1.point_count
-    nbrs_a = _incidence_neighbours(g1)
-    nbrs_b = _incidence_neighbours(g2)
-    line_set = g2.line_set
-
-    def recurse(part_a: _Partition, part_b: _Partition) -> tuple[int, ...] | None:
-        target = part_a.target()
-        if target is None:
-            mapping = [0] * n_points
-            for v, w in zip(part_a.lab[:n_points], part_b.lab):
-                mapping[v] = w
-            return tuple(mapping) if _mapping_ok(g1, line_set, mapping) else None
-        child_a = part_a.copy()
-        child_a.individualize(target, part_a.lab[target])
-        trace: list = []
-        _refine(nbrs_a, child_a, [target], trace, budget=budget)
-        for w in part_b.lab[target : part_b.end[target]]:
-            child_b = part_b.copy()
-            child_b.individualize(target, w)
-            if _refine(nbrs_b, child_b, [target], trace, True, budget):
-                result = recurse(child_a, child_b)
-                if result is not None:
-                    return result
-        return None
-
-    root_a = _Partition.points_then_lines(n_points, len(nbrs_a))
-    root_b = _Partition.points_then_lines(n_points, len(nbrs_b))
-    trace: list = []
-    _refine(nbrs_a, root_a, root_a.starts(), trace, budget=budget)
-    if not _refine(nbrs_b, root_b, root_b.starts(), trace, True, budget):
-        return None
-    return recurse(root_a, root_b)
-
-
-def _mapping_ok(g1: Geometry, line_set2: frozenset, mapping: Sequence[int]) -> bool:
+def _mapping_ok(lines1: Sequence[tuple[int, ...]], line_set2: frozenset, mapping: Sequence[int]) -> bool:
     if sorted(mapping) != list(range(len(mapping))):
         return False
-    return all(
-        tuple(sorted(mapping[p] for p in line)) in line_set2 for line in g1.lines
-    )
+    return all(tuple(sorted(mapping[p] for p in line)) in line_set2 for line in lines1)
 
 
 def _invariant_mismatch(g1: Geometry, g2: Geometry) -> str | None:
@@ -521,25 +519,8 @@ def are_isomorphic(g1: Geometry, g2: Geometry) -> IsoVerdict:
     reason = _invariant_mismatch(g1, g2)
     if reason is not None:
         return IsoVerdict(False, None, reason)
-    budget = _Budget(_SEARCH_BUDGET)
-    try:
-        mapping = _search_mapping(g1, g2, budget)
-        if mapping is not None:
-            return IsoVerdict(True, mapping, "explicit bijection found by refinement search")
-        exhausted = True
-    except _BudgetExceeded:
-        exhausted = False
-    if exhausted:
+    walker = _Walker(g2, _guide(g1))
+    walker.run()
+    if walker.mapping is None:
         return IsoVerdict(False, None, "refinement search exhausted: no line-preserving bijection")
-    # very symmetric non-isomorphic inputs: settle it with certificates
-    c1 = canonical_form(g1)
-    c2 = canonical_form(g2)
-    if c1.certificate != c2.certificate:
-        return IsoVerdict(False, None, "canonical certificate mismatch")
-    inverse2 = [0] * g2.point_count
-    for p, pos in enumerate(c2.relabeling):
-        inverse2[pos] = p
-    mapping = tuple(inverse2[c1.relabeling[p]] for p in range(g1.point_count))
-    if not _mapping_ok(g1, g2.line_set, mapping):
-        raise GeometryError("internal error: certificate mapping failed verification")
-    return IsoVerdict(True, mapping, "bijection derived from equal canonical certificates")
+    return IsoVerdict(True, walker.mapping, "explicit bijection found by refinement search")

@@ -160,7 +160,9 @@ def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
     collinear with all others, and :func:`is_gq` then names its order.  A
     witness names the first failure, by ``g``'s point and line indices."""
     connected, diameter = induced_metrics(g, pts)
-    if not connected or diameter != 2:
+    if not connected:
+        return QuadRecord(pts, "other", None, "closure is disconnected")
+    if diameter != 2:
         return QuadRecord(pts, "other", None, f"closure has diameter {diameter}")
     adj = g.adjacency
     m = mask_of(pts)
@@ -220,11 +222,13 @@ class ModelFacts(NamedTuple):
     t2: frozenset[int]
     diameter: int
     quad_kinds: frozenset[str]  # the quad kinds that occur, and no others
+    aut_order: int  # the order of its automorphism group, as canonical_form finds it
     cases: dict[str, Case] | None = None  # its case analysis, in report order
     hexagon: range | None = None  # the embedded hexagon, a geometric hyperplane
 
 
-_HEXAGON = ModelFacts(105, 210, 6, frozenset({1, 2}), 3, frozenset({"grid21", "gq22"}))
+# |S8|, the group acting on the partition model
+_HEXAGON = ModelFacts(105, 210, 6, frozenset({1, 2}), 3, frozenset({"grid21", "gq22"}), 40320)
 
 # The expected facts of each model, keyed by the CLI model names.  On 105
 # points, pairs with the same first (A1) or second (A2) coordinate have
@@ -233,7 +237,7 @@ _HEXAGON = ModelFacts(105, 210, 6, frozenset({1, 2}), 3, frozenset({"grid21", "g
 # pair has exactly 3 (the adjoined copies lift A1/A2 to 3); only >= 3 is
 # guaranteed a priori for B1/B2/B4/B5, and the scan pins the exact count.
 EXPECTED: dict[str, ModelFacts] = {
-    "w2": ModelFacts(15, 15, 3, frozenset({2}), 2, frozenset({"gq22"})),
+    "w2": ModelFacts(15, 15, 3, frozenset({2}), 2, frozenset({"gq22"}), 720),  # |S6|
     "h3": _HEXAGON._replace(cases={
         "A1": Case("common", 2, 315),
         "A2": Case("common", 2, 315),
@@ -244,7 +248,7 @@ EXPECTED: dict[str, ModelFacts] = {
     "h3-partition": _HEXAGON,
     "h3-debruyn": _HEXAGON,
     "dsp62": ModelFacts(
-        135, 315, 7, frozenset({2}), 3, frozenset({"gq22"}),
+        135, 315, 7, frozenset({2}), 3, frozenset({"gq22"}), 1451520,  # |Sp(6,2)|
         cases={
             "B1": Case("common", 3, 105),
             "B2": Case("common", 3, 105),

@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the differential tests."""
 
+from itertools import permutations
+
 from hypothesis import strategies as st
 
 from nearhex import Geometry
@@ -15,3 +17,62 @@ def small_geometries(draw):
         return Geometry(n, ())
     line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
     return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
+
+
+def cyclic_sts13():
+    """The cyclic Steiner triple system on 13 points, developed from the
+    base blocks {0,1,4} and {0,2,7} mod 13."""
+    blocks = set()
+    for base in ((0, 1, 4), (0, 2, 7)):
+        for shift in range(13):
+            blocks.add(tuple(sorted((x + shift) % 13 for x in base)))
+    return Geometry(13, tuple(sorted(blocks)))
+
+
+def pg32_sts15():
+    """The points and lines of PG(3,2) as a Steiner triple system: the
+    nonzero vectors of GF(2)^4, vector v as point v - 1, with the lines
+    {a, b, a ^ b}."""
+    lines = {tuple(sorted((a - 1, b - 1, (a ^ b) - 1))) for a in range(1, 16) for b in range(1, a)}
+    return Geometry(15, tuple(lines))
+
+
+def pasch_switches(lines):
+    """Every Pasch configuration of a Steiner triple system, as the pair
+    (its four triples, the four that replace them).  The triples
+    {x,y,z}, {x,u,v}, {w,y,u}, {w,z,v} cover the same pairs as
+    {x,y,u}, {x,z,v}, {w,y,z}, {w,u,v}, so trading one set for the other
+    gives another Steiner triple system on the same points."""
+    line_of = {}
+    for line in lines:
+        for a in line:
+            for b in line:
+                line_of[a, b] = line
+    out = set()
+    for l1 in lines:
+        for l2 in lines:
+            common = set(l1) & set(l2)
+            if l1 >= l2 or len(common) != 1:
+                continue
+            (x,) = common
+            y, z = sorted(set(l1) - common)
+            for u, v in permutations(sorted(set(l2) - common)):
+                (w,) = set(line_of[y, u]) - {y, u}
+                if w in line_of[z, v]:
+                    old = frozenset((l1, l2, line_of[y, u], line_of[z, v]))
+                    new = frozenset(
+                        tuple(sorted(t)) for t in ((x, y, u), (x, z, v), (w, y, z), (w, u, v))
+                    )
+                    out.add((old, new))
+    return sorted(out, key=lambda switch: sorted(switch[0]))
+
+
+@st.composite
+def pasch_switched(draw, base):
+    """``base`` after one to three random Pasch switches, relabeled."""
+    lines = set(base.lines)
+    for _ in range(draw(st.integers(1, 3))):
+        old, new = draw(st.sampled_from(pasch_switches(lines)))
+        lines = (lines - old) | new
+    perm = draw(st.permutations(range(base.point_count)))
+    return Geometry(base.point_count, tuple(tuple(perm[p] for p in line) for line in lines))

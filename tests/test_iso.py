@@ -11,7 +11,12 @@ equitability, and against a relabeled copy that replays its trace to the
 image partition, on the incidence graphs of small random geometries.  The
 cheap invariants are checked against a form that takes the distance
 census from histograms of the ``distance_rows`` rows, kept here as the
-reference too.
+reference too.  The automorphism group order that the walker reports is
+checked against a stabiliser-chain count by plain backtracking, and
+against the known group orders of the five models.  A corpus of Steiner
+triple systems a few Pasch switches from the cyclic STS(13) or PG(3,2),
+where cheap invariants collide, cross-checks verdicts with certificates,
+networkx and that count.
 """
 
 import random
@@ -23,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearhex import (
+    CanonicalForm,
     Geometry,
     GeometryError,
     are_isomorphic,
@@ -31,9 +37,17 @@ from nearhex import (
     relabel,
 )
 from nearhex.geometry import mask_of
-from nearhex.iso import _incidence_neighbours, _invariant_mismatch, _Partition, _refine
+from nearhex.iso import (
+    _guide,
+    _incidence_neighbours,
+    _invariant_mismatch,
+    _Partition,
+    _refine,
+    _Walker,
+)
+from nearhex.verify import EXPECTED
 
-from strategies import small_geometries
+from strategies import cyclic_sts13, pasch_switched, pasch_switches, pg32_sts15, small_geometries
 
 
 def assert_mapping_valid(g1, g2, mapping):
@@ -230,20 +244,12 @@ def test_relabeling_battery_all_models(w2, h3, h3_partitions, h3_debruyn, dsp):
             assert_mapping_valid(g, shuffled, verdict.mapping)
 
 
-def _cyclic_sts13():
-    blocks = set()
-    for base in ((0, 1, 4), (0, 2, 7)):
-        for shift in range(13):
-            blocks.add(tuple(sorted((x + shift) % 13 for x in base)))
-    return Geometry(13, tuple(sorted(blocks)))
-
-
 def _switched_sts13():
     """The other Steiner triple system on 13 points, obtained from the
     cyclic one by trading the Pasch configuration
     {0,6,8},{0,3,12},{1,6,12},{1,3,8} for
     {0,6,12},{0,3,8},{1,6,8},{1,3,12}."""
-    g = _cyclic_sts13()
+    g = cyclic_sts13()
     removed = {(0, 6, 8), (0, 3, 12), (1, 6, 12), (1, 3, 8)}
     added = ((0, 6, 12), (0, 3, 8), (1, 6, 8), (1, 3, 12))
     lines = tuple(l for l in g.lines if l not in removed) + added
@@ -253,10 +259,10 @@ def _switched_sts13():
 def test_sts13_pair_needs_certificates():
     """The two Steiner triple systems on 13 points share every cheap
     invariant (26 triples, 6 lines per point, complete collinearity graph),
-    so no invariant separates them.  Within the default budget the lockstep
-    search settles the pair by exhausting every branch; their canonical
-    certificates differ as well, and each is invariant under relabeling."""
-    a = _cyclic_sts13()
+    so no invariant separates them.  The guided walk settles the pair by
+    exhausting its tree; their canonical certificates differ as well, and
+    each is invariant under relabeling."""
+    a = cyclic_sts13()
     b = _switched_sts13()
     for g in (a, b):
         assert len(g.lines) == 26
@@ -277,60 +283,217 @@ def test_sts13_pair_needs_certificates():
             assert canonical_form(relabel(g, perm)).certificate == canonical_form(g).certificate
 
 
-def test_certificates_decide_when_the_search_budget_runs_out(monkeypatch):
-    import nearhex.iso
+def test_root_trace_mismatch_exhausts_without_a_node():
+    """These two share every cheap invariant, but their root refinements
+    differ, so the guided walk ends before its first node."""
+    g1 = Geometry(5, ((0, 1, 4), (0, 2), (0, 3, 4), (1, 2), (1, 3), (2, 3, 4), (2, 4)))
+    g2 = Geometry(5, ((0, 1, 3), (0, 2, 3), (0, 4), (1, 2), (1, 4), (2, 3, 4), (2, 4)))
+    assert _invariant_mismatch(g1, g2) is None
+    walker = _Walker(g2, _guide(g1))
+    part = _Partition.points_then_lines(5, walker.n)
+    assert not walker._refine(part, part.starts(), 0)
+    verdict = are_isomorphic(g1, g2)
+    assert not verdict.isomorphic and verdict.mapping is None
+    assert verdict.detail == "refinement search exhausted: no line-preserving bijection"
 
-    monkeypatch.setattr(nearhex.iso, "_SEARCH_BUDGET", 10)
-    verdict = are_isomorphic(_cyclic_sts13(), _switched_sts13())
-    assert not verdict.isomorphic
-    assert verdict.detail == "canonical certificate mismatch"
+
+def test_exhaustion_after_failed_leaves_prunes_by_automorphisms():
+    """Guided by the cyclic system, the walk on the switched one reaches
+    leaves whose bijections fail, and the automorphisms their equal
+    certificates give prune the rest of the tree."""
+    walker = _Walker(_switched_sts13(), _guide(cyclic_sts13()))
+    walker.run()
+    assert walker.mapping is None and walker.first is not None and walker.autos
+    verdict = are_isomorphic(cyclic_sts13(), _switched_sts13())
+    assert not verdict.isomorphic and verdict.mapping is None
+    assert verdict.detail == "refinement search exhausted: no line-preserving bijection"
 
 
-def test_certificate_bijection_when_the_search_budget_runs_out(monkeypatch, h3, h3_partitions):
-    import nearhex.iso
+def test_exhaustion_below_the_root_without_a_leaf():
+    """Guided by the switched system, the walk on the cyclic one passes the
+    root but no child replays the trace all the way down to a leaf."""
+    walker = _Walker(cyclic_sts13(), _guide(_switched_sts13()))
+    part = _Partition.points_then_lines(13, walker.n)
+    assert walker._refine(part, part.starts(), 0)
+    walker.run()
+    assert walker.mapping is None and walker.first is None
+    verdict = are_isomorphic(_switched_sts13(), cyclic_sts13())
+    assert not verdict.isomorphic and verdict.mapping is None
+    assert verdict.detail == "refinement search exhausted: no line-preserving bijection"
 
-    monkeypatch.setattr(nearhex.iso, "_SEARCH_BUDGET", 10)
-    verdict = are_isomorphic(h3, h3_partitions)
-    assert verdict.isomorphic
-    assert verdict.detail == "bijection derived from equal canonical certificates"
-    assert_mapping_valid(h3, h3_partitions, verdict.mapping)
+
+def test_empty_geometries():
+    none = are_isomorphic(Geometry(0, ()), Geometry(0, ()))
+    assert none.isomorphic and none.mapping == ()
+    assert canonical_form(Geometry(0, ())) == CanonicalForm((0, 0, ()), (), 1)
+    three = are_isomorphic(Geometry(3, ()), Geometry(3, ()))
+    assert three.isomorphic
+    assert_mapping_valid(Geometry(3, ()), Geometry(3, ()), three.mapping)
+    assert canonical_form(Geometry(3, ())).aut_order == 6
+
+
+def pasch_counts(g):
+    """How many Pasch configurations hold each point and each line of a
+    Steiner triple system: an isomorphism invariant, used to label the
+    vertices of the graphs that networkx compares."""
+    counts = dict.fromkeys([*range(g.point_count), *g.lines], 0)
+    for old, _ in pasch_switches(g.lines):
+        for line in old:
+            counts[line] += 1
+        for p in set().union(*old):
+            counts[p] += 1
+    return counts
+
+
+def incidence_graph(nx, g):
+    """The incidence graph, each vertex labelled by its side and its Pasch
+    count."""
+    counts = pasch_counts(g)
+    graph = nx.Graph()
+    for p in range(g.point_count):
+        graph.add_node(("p", p), label=("p", counts[p]))
+    for line in g.lines:
+        graph.add_node(("l", line), label=("l", counts[line]))
+        for p in line:
+            graph.add_edge(("p", p), ("l", line))
+    return graph
+
+
+def block_intersection_graph(nx, g):
+    """One vertex per triple, labelled by its Pasch count; two triples are
+    adjacent when they share a point.  An isomorphism of two systems
+    carries one such graph onto the other, so graphs that are not
+    isomorphic prove that the systems are not either."""
+    counts = pasch_counts(g)
+    graph = nx.Graph()
+    for line in g.lines:
+        graph.add_node(line, label=counts[line])
+    graph.add_edges_from((x, y) for x, y in combinations(g.lines, 2) if set(x) & set(y))
+    return graph
+
+
+def networkx_isomorphic(nx, a, b):
+    """Decide isomorphism with networkx ``vf2pp``: first on the
+    block-intersection graphs, whose 26 or 35 vertices against the incidence
+    graphs' 39 or 50 make a refusal cheap, then on the incidence graphs."""
+    if not nx.vf2pp_is_isomorphic(
+        block_intersection_graph(nx, a), block_intersection_graph(nx, b), node_label="label"
+    ):
+        return False
+    return nx.vf2pp_is_isomorphic(incidence_graph(nx, a), incidence_graph(nx, b), node_label="label")
 
 
 def test_sts13_verdict_agrees_with_networkx():
     """Independent cross-check of the isomorphism decision procedure.
 
-    Non-isomorphism is proved on the block-intersection graphs (one vertex
-    per triple, two triples adjacent when they share a point), 26 vertices
-    against the incidence graphs' 39.  An isomorphism of the two systems
-    would carry one block-intersection graph onto the other, so graphs that
-    are not isomorphic prove that the systems are not either."""
+    Non-isomorphism is proved on the block-intersection graphs, and a
+    relabeled copy is confirmed on the incidence graphs.  The vertices
+    carry Pasch counts as labels, which every isomorphism preserves, so
+    the proofs stand as they would unlabelled."""
     nx = pytest.importorskip("networkx")
-
-    def incidence_graph(g):
-        graph = nx.Graph()
-        for p in range(g.point_count):
-            graph.add_node(("p", p))
-        for line in g.lines:
-            graph.add_node(("l", line))
-            for p in line:
-                graph.add_edge(("p", p), ("l", line))
-        return graph
-
-    def block_intersection_graph(g):
-        graph = nx.Graph()
-        graph.add_nodes_from(g.lines)
-        graph.add_edges_from(
-            (x, y) for x, y in combinations(g.lines, 2) if set(x) & set(y)
-        )
-        return graph
-
-    a = _cyclic_sts13()
+    a = cyclic_sts13()
     b = _switched_sts13()
     assert not are_isomorphic(a, b).isomorphic
-    assert not nx.vf2pp_is_isomorphic(block_intersection_graph(a), block_intersection_graph(b))
+    assert not nx.vf2pp_is_isomorphic(
+        block_intersection_graph(nx, a), block_intersection_graph(nx, b), node_label="label"
+    )
     shuffled = relabel(a, [(3 * p + 1) % 13 for p in range(13)])
-    assert nx.vf2pp_is_isomorphic(incidence_graph(a), incidence_graph(shuffled))
+    assert nx.vf2pp_is_isomorphic(incidence_graph(nx, a), incidence_graph(nx, shuffled), node_label="label")
     assert are_isomorphic(a, shuffled).isomorphic
+
+
+# -- |Aut| against a stabiliser chain; the Pasch-switch corpus -----------
+
+
+def aut_order_by_stabiliser_chain(g):
+    """The order of the automorphism group without the refinement walker:
+    the product, over the points in turn, of the orbit length of point
+    ``i`` under the automorphisms that fix the points before it.  Point
+    ``c`` is in that orbit when a backtracking search extends the map
+    ``j -> j`` (``j < i``), ``i -> c`` to a permutation carrying every line
+    onto a line.  The points are first renumbered so that each closes as
+    many lines as it can, and a point that closes a line may only go where
+    it completes the image of the line's other points to a line."""
+    n = g.point_count
+    order = []
+    while len(order) < n:
+        done = set(order)
+
+        def closed(p):
+            return sum(set(line) - {p} <= done for line in g.lines if p in line)
+
+        order.append(max((p for p in range(n) if p not in done), key=lambda p: (closed(p), -p)))
+    rank = {p: i for i, p in enumerate(order)}
+    degree = [0] * n
+    closing = [[] for _ in range(n)]  # per point, the lines it closes, less itself
+    completes = {}  # a line less one point -> the points that complete it
+    for line in g.lines:
+        line = sorted(rank[p] for p in line)
+        closing[line[-1]].append(line[:-1])
+        for p in line:
+            degree[p] += 1
+            completes.setdefault(tuple(q for q in line if q != p), set()).add(p)
+
+    def extends(images):
+        i = len(images)
+        if i == n:
+            return True
+        options = set(range(n)) - set(images)
+        for rest in closing[i]:
+            options &= completes.get(tuple(sorted(images[q] for q in rest)), set())
+        return any(degree[c] == degree[i] and extends(images + [c]) for c in sorted(options))
+
+    total = 1
+    for i in range(n):
+        total *= sum(extends(list(range(i)) + [c]) for c in range(i, n))
+    return total
+
+
+@given(small_geometries())
+@settings(max_examples=200, deadline=None)
+def test_aut_order_matches_the_stabiliser_chain(g):
+    assert canonical_form(g).aut_order == aut_order_by_stabiliser_chain(g)
+
+
+def test_aut_order_of_the_models(w2, h3, h3_partitions, h3_debruyn, dsp):
+    """|S6| for W(2), |S8| for each 105-point model and |Sp(6,2)| for the
+    135-point space, the same on a relabeling of each."""
+    rng = random.Random(720)
+    for name, g in (("w2", w2), ("h3", h3), ("h3-partition", h3_partitions),
+                    ("h3-debruyn", h3_debruyn), ("dsp62", dsp)):
+        perm = list(range(g.point_count))
+        rng.shuffle(perm)
+        for copy in (g, relabel(g, perm)):
+            assert canonical_form(copy).aut_order == EXPECTED[name].aut_order
+
+
+@given(st.sampled_from([cyclic_sts13(), pg32_sts15()]).flatmap(
+    lambda base: st.tuples(
+        pasch_switched(base), pasch_switched(base), st.permutations(range(base.point_count))
+    )
+))
+@settings(max_examples=10, deadline=None)
+def test_pasch_switched_pairs(drawn):
+    """Steiner triple systems a few Pasch switches from the cyclic STS(13)
+    or from PG(3,2), where cheap invariants collide.  On two such systems
+    the verdict matches the certificates and networkx; one of them against
+    a relabeled copy is isomorphic with equal certificates; every mapping
+    carries lines onto lines; and |Aut| matches the stabiliser chain."""
+    nx = pytest.importorskip("networkx")
+    a, b, perm = drawn
+    form_a, form_b = canonical_form(a), canonical_form(b)
+    verdict = are_isomorphic(a, b)
+    assert verdict.isomorphic == (form_a.certificate == form_b.certificate)
+    assert verdict.isomorphic == networkx_isomorphic(nx, a, b)
+    if verdict.isomorphic:
+        assert_mapping_valid(a, b, verdict.mapping)
+    copy = relabel(a, perm)
+    assert canonical_form(copy).certificate == form_a.certificate
+    verdict = are_isomorphic(a, copy)
+    assert verdict.isomorphic
+    assert_mapping_valid(a, copy, verdict.mapping)
+    for g, form in ((a, form_a), (b, form_b)):
+        assert form.aut_order == aut_order_by_stabiliser_chain(g)
 
 
 # -- the counting refinement against the split loop it replaced -----------

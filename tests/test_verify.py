@@ -126,7 +126,7 @@ def test_classify_quad_witnesses():
     square = Geometry(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     cases = [
         (hexagon, range(6), None, "closure has diameter 3"),
-        (two_lines, range(6), None, "closure has diameter 1"),
+        (two_lines, range(6), None, "closure is disconnected"),
         (pencil, range(5), None, "point 0 adjacent to all others"),
         (pentagon, range(2, 7), None, "point 5 is collinear with 0 points of line 1"),
         (k33, range(6), (1, 2), "generalized quadrangle of order (1, 2)"),
