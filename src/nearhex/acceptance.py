@@ -8,6 +8,7 @@ command and the test suite both consume :func:`run_acceptance`.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -209,14 +210,17 @@ def criterion_6(models: dict[str, Geometry], census: DebruynCensus) -> Criterion
     c = _Checker()
     dsp = models["dsp62"]
     counts = _case_counts(c, dsp_case_analysis(dsp, EXPECTED["dsp62"].hexagon), "dsp62")
-    profiles = line_distance_profiles(dsp)
+    # each line is profiled once: the glue lines, then the others
+    glue, inner = [], []
+    for i, line in enumerate(dsp.lines):
+        (glue if any(p >= 105 for p in line) else inner).append(i)
+    glue_profiles = line_distance_profiles(dsp, glue)
+    profiles = Counter(line_distance_profiles(dsp, inner)) + Counter(glue_profiles)
     c.expect(
         set(profiles) <= HEX_PROFILES,
         f"unexpected line distance profiles {sorted(set(profiles) - HEX_PROFILES)}",
     )
-    glue = [i for i, line in enumerate(dsp.lines) if any(p >= 105 for p in line)]
     c.expect(len(glue) == 105, f"{len(glue)} glue lines")
-    glue_profiles = line_distance_profiles(dsp, glue)
     c.expect(
         set(glue_profiles) <= HEX_PROFILES,
         f"glue-line profiles {sorted(set(glue_profiles) - HEX_PROFILES)}",

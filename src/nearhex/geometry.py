@@ -160,6 +160,19 @@ class Geometry:
         return tuple(map(tuple, spheres))
 
     @cached_property
+    def distance_two_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """``(x, y, common)`` for each pair ``x < y`` at distance 2, with its
+        number of common neighbours, in increasing order; ``y`` is read from
+        the sphere S_2(x)."""
+        adj = self.adjacency
+        return tuple(
+            (x, y, (adj[x] & adj[y]).bit_count())
+            for x, layers in enumerate(self.distance_spheres)
+            if len(layers) > 2
+            for y in bits_of(layers[2] >> (x + 1) << (x + 1))
+        )
+
+    @cached_property
     def distance_rows(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs collinearity-graph distances (UNREACHABLE when disconnected)."""
         rows = []

@@ -3,14 +3,17 @@ case analyses for the two constructed hexagons, plus ``EXPECTED``, the one
 table of facts each model must show, which ``nearhex verify`` and the
 acceptance suite both read.
 
-Pair classification in the case analyses reads point labels only; the
-geometric conclusions (common-neighbour counts, distances) are then checked
-against the line structure, so the two sides stay independent.  One scan
-serves both case analyses, driven by the model's case table.
+Pair classification in the case analyses reads point labels only: each
+point gets one row of bitmasks over the points after it, one mask per case,
+made from unions of per-edge point masks.  The geometric conclusions
+(common-neighbour counts, distances) are then read off the line structure a
+whole mask at a time, so the two sides stay independent.  One scan serves
+both case analyses, driven by the model's case table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, NamedTuple
@@ -41,16 +44,6 @@ class ParameterSummary:
     slim: bool
 
 
-def _distance_two_pairs(g: Geometry):
-    """Yield ``(x, y, common)`` for each pair ``x < y`` at distance 2, with
-    its number of common neighbours; ``y`` is read from the sphere S_2(x)."""
-    adj = g.adjacency
-    for x, layers in enumerate(g.distance_spheres):
-        if len(layers) > 2:
-            for y in bits_of(layers[2] >> (x + 1) << (x + 1)):
-                yield x, y, (adj[x] & adj[y]).bit_count()
-
-
 def parameters(g: Geometry) -> ParameterSummary:
     """Exact census of sizes, degrees, t2 values, diameter and density.
 
@@ -59,7 +52,7 @@ def parameters(g: Geometry) -> ParameterSummary:
     """
     t2 = set()
     dense = True
-    for _, _, common in _distance_two_pairs(g):
+    for _, _, common in g.distance_two_pairs:
         t2.add(common - 1)
         if common < 2:
             dense = False
@@ -188,7 +181,7 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """
     if not check_np(g).ok:
         raise GeometryError("quad enumeration expects a near polygon")
-    pairs = ((x, y) for x, y, common in _distance_two_pairs(g) if common >= 2)
+    pairs = ((x, y) for x, y, common in g.distance_two_pairs if common >= 2)
     seen: dict[frozenset[int], QuadRecord] = {}
     for pts in convex_closures(g, pairs):
         if pts not in seen:
@@ -281,98 +274,128 @@ class CaseReport:
     witnesses: tuple[str, ...]
 
 
-def _sides(g: Geometry) -> list[tuple[str, object]]:
-    """Each point's side with the label data the classifiers read:
-    ``("pair", (x, u'))`` for a Pair, ``("P", x)`` for an Edge and
-    ``("Q", u')`` for a PrimedEdge."""
+def _case_rows(g: Geometry) -> list[dict[str, int]]:
+    """Per point ``i``, the points ``j > i`` of each case as bitmasks, built
+    from the labels alone; cases with no such point are left out.
+
+    Each row is a union of per-edge point masks, made once: the hexagon
+    points by base edge ``x`` (``X``) and by primed edge ``u'`` (``U``), the
+    copy points by edge (``P`` plain, ``Q`` primed), and for each edge the
+    union of one of these over the edges perp-related to it (``PX`` and so
+    on).  Two Pairs ``(x, u')`` and ``(y, v')`` share ``x`` (A1) or else
+    ``u'`` (A2); otherwise they are collinear when ``u'`` is perp to ``y``
+    and ``v'`` to ``x``, A3 when neither holds and A4 when one does.  A Pair
+    ``(y, v')`` and a copy point ``o`` are collinear when ``o`` is ``y``
+    (plain) or ``v'`` (primed); otherwise they are B4 or B6 (plain) and B5
+    or B7 (primed) by whether ``o`` is perp to the Pair's other edge.  Two
+    plain points are B1 and two primed ones B2; a plain and a primed point
+    are collinear when their edges are perp, else B3.
+    """
     if g.labels is None:
         raise GeometryError("case analysis needs labels")
+    X, U, P, Q = (defaultdict(int) for _ in range(4))
     sides = []
     for i, label in enumerate(g.labels):
         if isinstance(label, Pair):
-            sides.append(("pair", (label.base.ends, label.prime.ends)))
+            x, u = label.base.ends, label.prime.ends
+            X[x] |= 1 << i
+            U[u] |= 1 << i
+            sides.append(("pair", (x, u)))
         elif isinstance(label, Edge):
+            P[label.ends] |= 1 << i
             sides.append(("P", label.ends))
         elif isinstance(label, PrimedEdge):
+            Q[label.ends] |= 1 << i
             sides.append(("Q", label.ends))
         else:
             raise GeometryError(f"unexpected label {label!r} at point {i}")
-    return sides
+    edges = {*X, *U, *P, *Q}
+    perp = {e: [f for f in edges if perp_related(e, f)] for e in edges}
+    # a point has one edge of each kind, so the masks summed are disjoint
+    PX, PU, PP, PQ = (
+        {e: sum(masks[f] for f in perp[e]) for e in edges} for masks in (X, U, P, Q)
+    )
+    pairs, plain, primed = sum(X.values()), sum(P.values()), sum(Q.values())
+    rows = []
+    for i, (side, o) in enumerate(sides):
+        if side == "P":
+            row = {
+                "collinear": X[o] | PQ[o],
+                "B1": plain,
+                "B3": primed & ~PQ[o],
+                "B4": PU[o] & ~X[o],
+                "B6": pairs & ~(PU[o] | X[o]),
+            }
+        elif side == "Q":
+            row = {
+                "collinear": U[o] | PP[o],
+                "B2": primed,
+                "B3": plain & ~PP[o],
+                "B5": PX[o] & ~U[o],
+                "B7": pairs & ~(PX[o] | U[o]),
+            }
+        else:
+            x, u = o
+            a1 = X[x]
+            a2 = U[u] & ~a1
+            rest = pairs & ~(a1 | a2)
+            m1, m2 = PX[u], PU[x]  # u' perp to y, v' perp to x
+            row = {
+                "A1": a1,
+                "A2": a2,
+                "A3": rest & ~(m1 | m2),
+                "A4": rest & (m1 ^ m2),
+                "collinear": rest & m1 & m2 | P[x] | Q[u],
+                "B4": PP[u] & ~P[x],
+                "B5": PQ[x] & ~Q[u],
+                "B6": plain & ~(PP[u] | P[x]),
+                "B7": primed & ~(PQ[x] | Q[u]),
+            }
+        above = -2 << i
+        rows.append({case: m & above for case, m in row.items() if m & above})
+    return rows
 
 
-def _a_case(xi, ui, xj, uj) -> str:
-    """Classify a distinct pair of hexagon points from labels alone."""
-    if xi == xj:
-        return "A1"
-    if ui == uj:
-        return "A2"
-    m1 = perp_related(ui, xj)  # u' in y'^perp
-    m2 = perp_related(uj, xi)  # v' in x'^perp
-    if m1 and m2:
-        return "collinear"
-    if not m1 and not m2:
-        return "A3"
-    return "A4"
+def _case_scan(g: Geometry, rows: list[dict[str, int]], table: dict[str, Case]) -> list[CaseReport]:
+    """Measure each case of each label row on the line structure, a whole
+    row at a time, against what the case's table row prescribes.
 
-
-def _b_case(side_i: str, li, side_j: str, lj) -> str:
-    """Classify a pair touching an adjoined copy from labels alone.
-
-    ``side`` is "P" (plain edge), "Q" (primed edge) or "pair"; ``li``/``lj``
-    carry the label data.  Returns "collinear" when the labels predict
-    adjacency, otherwise one of B1..B7.
-    """
-    sides = {side_i, side_j}
-    if sides == {"P"}:
-        return "B1"
-    if sides == {"Q"}:
-        return "B2"
-    if sides == {"P", "Q"}:
-        x = li if side_i == "P" else lj
-        u = lj if side_i == "P" else li
-        return "collinear" if perp_related(u, x) else "B3"
-    outer, inner = (li, lj) if side_i != "pair" else (lj, li)
-    outer_side = side_i if side_i != "pair" else side_j
-    y, v = inner
-    if outer_side == "P":
-        if outer == y:
-            return "collinear"
-        return "B4" if perp_related(v, outer) else "B6"
-    if outer == v:
-        return "collinear"
-    return "B5" if perp_related(y, outer) else "B7"
-
-
-def _case_scan(g: Geometry, sides: list, table: dict[str, Case]) -> list[CaseReport]:
-    """Classify every unordered pair from its labels alone, then measure
-    what its case prescribes on the line structure.
-
-    A pair the labels call non-collinear but that is collinear records its
-    distance 1, so it fails any "common" case as well.
+    A "distance" case is split by the distance layers of ``i``.  A "common"
+    case records distance 1 for its collinear part, 0 for its points beyond
+    distance 2 and, for the pairs at distance 2 alone, the count of common
+    neighbours.  Each case keeps its first 10 failing pairs in ``(i, j)``
+    order as witnesses.
     """
     adj, spheres, names = g.adjacency, g.distance_spheres, g.labels
     found = {case: ({}, []) for case in table}  # histogram, witnesses
-    for i, (side_i, data_i) in enumerate(sides):
-        adj_i, layers_i = adj[i], spheres[i]
-        for j in range(i + 1, len(sides)):
-            side_j, data_j = sides[j]
-            if side_i == side_j == "pair":
-                case = _a_case(*data_i, *data_j)
-            else:
-                case = _b_case(side_i, data_i, side_j, data_j)
+    for i, row in enumerate(rows):
+        adj_i, layers = adj[i], spheres[i]
+        for case, m in row.items():
             measure, want, _ = table[case]
-            if measure == "common" and not adj_i >> j & 1:
-                value = (adj_i & adj[j]).bit_count()
+            if measure == "common":
+                near = m & adj_i
+                two = m & layers[2] if len(layers) > 2 else 0
+                parts = {1: near, 0: m ^ near ^ two}
+                for j in bits_of(two):
+                    common = (adj_i & adj[j]).bit_count()
+                    parts[common] = parts.get(common, 0) | 1 << j
             else:
-                value, bit = UNREACHABLE, 1 << j
-                for d, layer in enumerate(layers_i):
-                    if layer & bit:
-                        value = d
-                        break
+                parts = {}
+                for d, layer in enumerate(layers):
+                    parts[d] = m & layer
+                    m ^= parts[d]
+                parts[UNREACHABLE] = m
             hist, witnesses = found[case]
-            hist[value] = hist.get(value, 0) + 1
-            if value != want and len(witnesses) < 10:
-                witnesses.append(f"({names[i]},{names[j]})")
+            fail = 0
+            for value, part in parts.items():
+                if part:
+                    hist[value] = hist.get(value, 0) + part.bit_count()
+                    if value != want:
+                        fail |= part
+            if fail and len(witnesses) < 10:
+                witnesses.extend(
+                    f"({names[i]},{names[j]})" for j in bits_of(fail)[: 10 - len(witnesses)]
+                )
     reports = []
     for case, (hist, witnesses) in found.items():
         n = sum(hist.values())
@@ -386,17 +409,18 @@ def _case_scan(g: Geometry, sides: list, table: dict[str, Case]) -> list[CaseRep
 def h3_case_analysis(g: Geometry) -> list[CaseReport]:
     """Exhaustive scan of all point pairs of the 105-point hexagon against
     ``EXPECTED["h3"].cases``."""
-    sides = _sides(g)
-    if any(side != "pair" for side, _ in sides):
+    rows = _case_rows(g)
+    if not all(isinstance(label, Pair) for label in g.labels):
         raise GeometryError("case analysis needs Pair labels")
-    return _case_scan(g, sides, EXPECTED["h3"].cases)
+    return _case_scan(g, rows, EXPECTED["h3"].cases)
 
 
 def dsp_case_analysis(g: Geometry, h3_points: Iterable[int]) -> list[CaseReport]:
     """Exhaustive scan of the 135-point space against
     ``EXPECTED["dsp62"].cases``: pairs touching an adjoined copy fall in
     B1..B7, pairs inside the embedded hexagon in the A-cases."""
-    sides = _sides(g)
-    if frozenset(h3_points) != frozenset(i for i, (side, _) in enumerate(sides) if side == "pair"):
+    rows = _case_rows(g)
+    pair_points = frozenset(i for i, label in enumerate(g.labels) if isinstance(label, Pair))
+    if frozenset(h3_points) != pair_points:
         raise GeometryError("h3_points does not match the Pair-labelled points")
-    return _case_scan(g, sides, EXPECTED["dsp62"].cases)
+    return _case_scan(g, rows, EXPECTED["dsp62"].cases)

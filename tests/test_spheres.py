@@ -119,6 +119,12 @@ def test_spheres_match_rows_and_bfs(g):
         assert len(layers) == max(rows[p]) + 1
         for k, layer in enumerate(layers):
             assert layer == sum(1 << q for q, d in enumerate(rows[p]) if d == k)
+    adj = g.adjacency
+    assert g.distance_two_pairs == tuple(
+        (x, y, (adj[x] & adj[y]).bit_count())
+        for x, y in combinations(range(g.point_count), 2)
+        if rows[x][y] == 2
+    )
 
 
 @given(small_geometries(), st.data())
