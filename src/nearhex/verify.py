@@ -113,11 +113,15 @@ def line_distance_profiles(
 
     The points off a line are split by sphere membership, one line point
     after another, so each group shares one profile; points a line point
-    cannot reach get the entry UNREACHABLE.
+    cannot reach get the entry UNREACHABLE.  A line index outside
+    ``0..len(g.lines) - 1`` raises ``GeometryError``.
     """
     spheres = g.distance_spheres
     full = g.full_mask
-    indices = range(len(g.lines)) if line_indices is None else line_indices
+    indices = range(len(g.lines)) if line_indices is None else list(line_indices)
+    for li in indices:
+        if not 0 <= li < len(g.lines):
+            raise GeometryError(f"line index {li} out of range")
     out: dict[tuple[int, ...], int] = {}
     for li in indices:
         groups = [((), full & ~g.line_masks[li])]

@@ -229,6 +229,35 @@ def test_convex_closure_adds_the_interval_of_a_far_pair():
     assert convex_closure(path, {0, 3}) == closure_oracle(path, {0, 3})
 
 
+def test_convex_closure_completes_a_line_an_interval_reaches():
+    # the far pair 0, 3 adds its interval 1, 2, and only the line
+    # through 1 and 2 then adds 5
+    g = Geometry(6, ((0, 1), (1, 2, 5), (2, 3)))
+    assert convex_closure(g, {0, 3}) == {0, 1, 2, 3, 5} == closure_oracle(g, {0, 3})
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        # a triangle across the lines through 0: its neighbours 1 and 2
+        # are collinear, so a seed holding both must not take 0
+        ((0, 1), (0, 2), (1, 2), (2, 3)),
+        ((0, 1, 4), (0, 2), (1, 2, 3)),
+        # two lines through the pair 0, 1: neighbour 1 of 0 lies on both
+        ((0, 1, 2), (0, 1, 3)),
+        ((0, 1, 2), (0, 1, 3), (2, 4), (3, 4)),
+    ],
+)
+def test_convex_closures_at_points_whose_neighbourhood_is_not_clean(lines):
+    n = 1 + max(p for line in lines for p in line)
+    g = Geometry(n, lines)
+    seeds = [
+        frozenset(p for p in range(n) if m >> p & 1) for m in range(1, 1 << n)
+    ]
+    closed = closed_sets(g)
+    assert convex_closures(g, seeds) == [closure_oracle(g, s, closed) for s in seeds]
+
+
 def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
     calls = []
     real = nearhex.verify.convex_closures

@@ -92,6 +92,15 @@ def test_line_distance_profiles(h3, dsp):
     glue = [i for i, line in enumerate(dsp.lines) if any(p >= 105 for p in line)]
     assert len(glue) == 105
     assert line_distance_profiles(dsp, glue) == {(1, 2, 2): 3780, (2, 3, 3): 10080}
+    # a generator is read once, and the last index is the last line
+    assert line_distance_profiles(dsp, iter(glue)) == line_distance_profiles(dsp, glue)
+    assert line_distance_profiles(dsp, [314]) == {(1, 2, 2): 36, (2, 3, 3): 96}
+
+
+@pytest.mark.parametrize("indices", [[-1], [15], [99], [0, -15]])
+def test_line_distance_profiles_rejects_out_of_range_indices(w2, indices):
+    with pytest.raises(GeometryError, match="line index"):
+        line_distance_profiles(w2, indices)
 
 
 def test_quads_w2(w2):
