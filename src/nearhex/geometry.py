@@ -173,6 +173,38 @@ class Geometry:
         )
 
     @cached_property
+    def np_verdict(self) -> NpVerdict:
+        """The near-polygon axiom: every point off a line has a unique
+        nearest point on it.  Raises for disconnected geometries, where
+        distance is undefined.
+
+        Each line is tested whole: at distance level ``k`` the points first
+        reached by some line point's sphere ``S_k`` are nearest to the line
+        at ``k``, and those reached by two of them violate the axiom.  The
+        witness is the lowest such point on the lowest-indexed failing line.
+        """
+        if not metrics(self).connected:
+            raise GeometryError("near-polygon check requires a connected geometry")
+        spheres = self.distance_spheres
+        for li, line in enumerate(self.lines):
+            line_spheres = [spheres[p] for p in line]
+            seen = bad = 0
+            for level in range(max(map(len, line_spheres))):
+                once = twice = 0
+                for layers in line_spheres:
+                    if level < len(layers):
+                        fresh = layers[level] & ~seen
+                        twice |= once & fresh
+                        once |= fresh
+                if not once:
+                    break
+                bad |= twice
+                seen |= once
+            if bad:
+                return NpVerdict(False, ((bad & -bad).bit_length() - 1, li))
+        return NpVerdict(True, None)
+
+    @cached_property
     def distance_rows(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs collinearity-graph distances (UNREACHABLE when disconnected)."""
         rows = []
@@ -195,6 +227,11 @@ class DistanceTable:
 
     source: int
     dist: tuple[int, ...]
+
+
+class NpVerdict(NamedTuple):
+    ok: bool
+    witness: tuple[int, int] | None  # (point, line index)
 
 
 class Metrics(NamedTuple):
@@ -274,45 +311,6 @@ def metrics(g: Geometry) -> Metrics:
     return Metrics(connected, diameter)
 
 
-def induced_metrics(g: Geometry, points: Iterable[int]) -> Metrics:
-    """``metrics(induced_geometry(g, points))``, read off ``g``'s bitmasks
-    without building the induced geometry.
-
-    A point's closed neighbourhood in the induced geometry is the union of
-    the lines through it with no point outside the set.  All balls then grow
-    together by OR, one radius per round: the ball of radius ``k + 1``
-    around ``p`` is the union of the radius-``k`` balls around its
-    neighbours.  A point stops when its ball stops growing or holds the
-    whole set, and the diameter is the last radius at which a ball grew.
-    """
-    m = mask_of(_check_points(g, points))
-    outside = ~m
-    line_masks, through = g.line_masks, g.lines_by_point
-    near = {}
-    for p in bits_of(m):
-        ball = 1 << p
-        for i in through[p]:
-            if not line_masks[i] & outside:
-                ball |= line_masks[i]
-        near[p] = ball
-    balls = dict(near)
-    diameter = int(any(ball != 1 << p for p, ball in near.items()))
-    growing = [p for p, ball in near.items() if ball not in (m, 1 << p)]
-    while growing:
-        grown = {}
-        for p in growing:
-            ball = 0
-            for q in bits_of(near[p]):
-                ball |= balls[q]
-            if ball != balls[p]:
-                grown[p] = ball
-        diameter += bool(grown)
-        balls.update(grown)
-        growing = [p for p, ball in grown.items() if ball != m]
-    connected = bool(m) and next(iter(balls.values())) == m
-    return Metrics(connected, diameter)
-
-
 def is_subspace(g: Geometry, points: Iterable[int]) -> bool:
     """True iff every line meeting the set in >= 2 points lies inside it."""
     m = mask_of(_check_points(g, points))
@@ -355,7 +353,10 @@ def convex_closures(
     the like) that are metrically convex but carry no full line, and those
     are useless for quad classification.  Every bit follows its own seed
     alone, so each result is exactly that seed's closure.  Seeds with equal
-    closures share one frozenset.
+    closures share one frozenset: a sweep reads each distinct closure once
+    off the masks and gives it to the seeds held by all its points whose
+    closures have as many points, counted for every seed at once on
+    bit-sliced planes.
 
     Lines and distance 2 are gathered point by point: a point ``z`` joins
     the seeds that hold two neighbours ``a, b`` of ``z`` lying on one line
@@ -371,9 +372,10 @@ def convex_closures(
     adds points sends them back to the gather, and the call ends when the
     far pairs add nothing.  On a 2-core Xeon whose speed drifts by up to
     40%, one call closes the 3,780 qualifying pairs of the 135-point model
-    in 5.5 to 9.5 ms and the 2,310 of the 105-point model in 3 to 5.5 ms,
-    and a call with one distance-2 pair takes 0.3 to 0.8 ms, most of it
-    spent listing neighbours and finding the clean points.
+    in 5.8 to 8.8 ms and the 2,310 of the 105-point model in 3.5 to 5.2 ms
+    (quartiles over three runs of 25 relabelings each), and a call with one
+    distance-2 pair takes 0.4 to 0.9 ms, most of it spent listing
+    neighbours and finding the clean points.
     """
     n = g.point_count
     held = [0] * n
@@ -439,25 +441,33 @@ def convex_closures(
             todo = grown
         # one sweep per distinct closure reads its points off a byte view
         # of each mask, and the seeds sharing it: those held by every
-        # member and by no other point
+        # member whose closure has as many points, read off bit-sliced
+        # column counts (bit j of planes[i] is bit i of seed j's count)
         closures: list = [None] * count
         groups = []
+        planes: list[int] = []
+        for h in held:
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ h
+                h &= plane
+                if not h:
+                    break
+            else:
+                if h:
+                    planes.append(h)
         width = (count + 7) >> 3
         views = [h.to_bytes(width, "little") for h in held]
         for j in range(count):
             if closures[j] is not None:
                 continue
             byte, bit = j >> 3, 1 << (j & 7)
+            members = [p for p, view in enumerate(views) if view[byte] & bit]
             same = (1 << count) - 1
-            outside = 0
-            members = []
-            for p, view in enumerate(views):
-                if view[byte] & bit:
-                    members.append(p)
-                    same &= held[p]
-                else:
-                    outside |= held[p]
-            same &= ~outside
+            for p in members:
+                same &= held[p]
+            size = len(members)
+            for i, plane in enumerate(planes):
+                same &= plane if size >> i & 1 else ~plane
             closure = frozenset(members)
             for k in bits_of(same):
                 closures[k] = closure

@@ -68,12 +68,9 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
 
     Everything is read off ``g``'s bitmasks, so the induced geometry is
     never built.  Its lines are those of ``g`` through the set's points that
-    have no point outside it; its points keep their degree, which is 0 on no
-    such line.  Two of those lines through ``p`` share a second point
-    exactly when the sum of their sizes less one exceeds the size of ``p``'s
-    neighbourhood on them.  The one-point axiom is checked a line at a time:
-    the points off the line must lie in the neighbourhood of exactly one of
-    its points.  Out-of-range points raise :class:`GeometryError`.
+    have no point outside it, and a point's neighbourhood is the union of
+    those through it; :func:`_gq_axioms` then decides.  Out-of-range points
+    raise :class:`GeometryError`.
     """
     m = g.full_mask if points is None else mask_of(_check_points(g, points))
     outside = ~m
@@ -82,23 +79,36 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
     # are sorted and the points come in increasing order, so do the indices
     inside = []
     nbr = {}
-    degrees = set()
-    pls = True
     for p in bits_of(m):
-        near = span = degree = 0
+        near = 0
         for i in through[p]:
             lm = line_masks[i]
             if not lm & outside:
                 near |= lm
-                span += len(lines[i]) - 1
-                degree += 1
                 if lines[i][0] == p:
                     inside.append(i)
-        near &= ~(1 << p)
-        nbr[p] = near
-        degrees.add(degree)
-        pls = pls and span == near.bit_count()
-    if not pls:
+        nbr[p] = near & ~(1 << p)
+    return _gq_axioms(g, m, inside, nbr)
+
+
+def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr) -> GqVerdict:
+    """The quadrangle axioms of :func:`is_gq` on the geometry induced on the
+    point set ``m``, given as ``g``'s bitmasks: ``inside`` lists the indices
+    of its lines in increasing order, and ``nbr[p] & m`` is the neighbourhood
+    of each point ``p`` of it.
+
+    Counted with its ordered pairs, each line of ``k`` points gives
+    ``k (k - 1)`` collinear pairs, so the set is a partial linear space
+    exactly when these sum to its neighbourhood sizes; when they do not,
+    the lines are walked for the first pair on two of them.  In a partial
+    linear space with lines of ``s + 1`` points, a point with ``n``
+    neighbours lies on ``n / s`` lines.  The one-point axiom is checked a
+    line at a time: the points off the line must lie in the neighbourhood
+    of exactly one of its points.
+    """
+    lines, line_masks = g.lines, g.line_masks
+    valence = {p: (nbr[p] & m).bit_count() for p in bits_of(m)}
+    if sum(valence.values()) != sum(len(lines[i]) * (len(lines[i]) - 1) for i in inside):
         first: dict[tuple[int, int], int] = {}
         for i in inside:
             for pair in combinations(lines[i], 2):
@@ -111,6 +121,8 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
     sizes = {len(lines[i]) for i in inside}
     if len(sizes) != 1:
         return GqVerdict(None, f"line sizes vary: {sorted(sizes)}")
+    s = sizes.pop() - 1
+    degrees = {n // s for n in valence.values()}
     if len(degrees) != 1:
         return GqVerdict(None, f"lines per point vary: {sorted(degrees)}")
     for li in inside:
@@ -126,7 +138,7 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
             return GqVerdict(
                 None, f"point {x} is collinear with {hits} points of line {li}"
             )
-    return GqVerdict((sizes.pop() - 1, degrees.pop() - 1), None)
+    return GqVerdict((s, degrees.pop() - 1), None)
 
 
 @dataclass(frozen=True)

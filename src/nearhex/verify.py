@@ -15,20 +15,19 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterable, NamedTuple
 
 from .geometry import (
     UNREACHABLE,
     Geometry,
     GeometryError,
+    NpVerdict,
     bits_of,
     convex_closures,
-    induced_metrics,
     mask_of,
     metrics,
 )
-from .gq22 import GqVerdict, is_gq
+from .gq22 import GqVerdict, _gq_axioms
 from .labels import Edge, Pair, PrimedEdge, perp_related
 
 
@@ -70,40 +69,13 @@ def parameters(g: Geometry) -> ParameterSummary:
     )
 
 
-class NpVerdict(NamedTuple):
-    ok: bool
-    witness: tuple[int, int] | None  # (point, line index)
-
-
 def check_np(g: Geometry) -> NpVerdict:
     """Near-polygon axiom: every point off a line has a unique nearest point
     on it.  Raises for disconnected geometries, where distance is undefined.
 
-    Each line is tested whole: at distance level ``k`` the points first
-    reached by some line point's sphere ``S_k`` are nearest to the line at
-    ``k``, and those reached by two of them violate the axiom.  The witness
-    is the lowest such point on the lowest-indexed failing line.
+    The verdict is ``g.np_verdict``, worked out once per geometry.
     """
-    if not metrics(g).connected:
-        raise GeometryError("near-polygon check requires a connected geometry")
-    spheres = g.distance_spheres
-    for li, line in enumerate(g.lines):
-        line_spheres = [spheres[p] for p in line]
-        seen = bad = 0
-        for level in count():
-            once = twice = 0
-            for layers in line_spheres:
-                if level < len(layers):
-                    fresh = layers[level] & ~seen
-                    twice |= once & fresh
-                    once |= fresh
-            if not once:
-                break
-            bad |= twice
-            seen |= once
-        if bad:
-            return NpVerdict(False, ((bad & -bad).bit_length() - 1, li))
-    return NpVerdict(True, None)
+    return g.np_verdict
 
 
 def line_distance_profiles(
@@ -154,19 +126,41 @@ class QuadRecord:
 def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
     """Classify a closure on ``g``'s bitmasks, without building the geometry
     it induces: its collinearity graph must have diameter 2 with no point
-    collinear with all others, and :func:`is_gq` then names its order.  A
-    witness names the first failure, by ``g``'s point and line indices."""
-    connected, diameter = induced_metrics(g, pts)
-    if not connected:
+    collinear with all others, and the axioms of :func:`is_gq` then name
+    its order.  A witness names the first failure, by ``g``'s point and
+    line indices.
+
+    ``pts`` must be convex and a subspace, as every closure from
+    :func:`convex_closures` is.  Then a line of ``g`` with two of its points
+    lies inside it, so its collinearity is ``g``'s ``adjacency`` masked to
+    it, and every geodesic between two of its points stays inside, so its
+    distances are ``g``'s: it is connected when its first point's spheres
+    cover it, and its diameter is the farthest sphere of a point that meets
+    it.  Each line inside is found once, through its first point.
+    """
+    adj, spheres = g.adjacency, g.distance_spheres
+    m = mask_of(pts)
+    members = bits_of(m)
+    if sum(spheres[members[0]]) & m != m:
         return QuadRecord(pts, "other", None, "closure is disconnected")
+    diameter = 0
+    for p in members:
+        layers = spheres[p]
+        k = len(layers) - 1
+        while not layers[k] & m:
+            k -= 1
+        diameter = max(diameter, k)
     if diameter != 2:
         return QuadRecord(pts, "other", None, f"closure has diameter {diameter}")
-    adj = g.adjacency
-    m = mask_of(pts)
-    for p in bits_of(m):
+    for p in members:
         if adj[p] & m == m & ~(1 << p):
             return QuadRecord(pts, "other", None, f"point {p} adjacent to all others")
-    verdict: GqVerdict = is_gq(g, pts)
+    lines, line_masks, through = g.lines, g.line_masks, g.lines_by_point
+    outside = ~m
+    inside = [
+        i for p in members for i in through[p] if lines[i][0] == p and not line_masks[i] & outside
+    ]
+    verdict: GqVerdict = _gq_axioms(g, m, inside, adj)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
     if verdict.order == (2, 2):

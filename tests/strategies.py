@@ -1,10 +1,11 @@
-"""Hypothesis strategies shared by the differential tests."""
+"""Hypothesis strategies and helpers shared by the differential tests."""
 
+import re
 from itertools import permutations
 
 from hypothesis import strategies as st
 
-from nearhex import Geometry
+from nearhex import Geometry, induced_geometry
 
 
 @st.composite
@@ -76,3 +77,25 @@ def pasch_switched(draw, base):
         lines = (lines - old) | new
     perm = draw(st.permutations(range(base.point_count)))
     return Geometry(base.point_count, tuple(tuple(perm[p] for p in line) for line in lines))
+
+
+def lifted_witness(g, pts, witness):
+    """A witness for ``induced_geometry(g, pts)`` with its point and line
+    indices taken back to ``g``'s."""
+    order = sorted(set(pts))
+    sub = induced_geometry(g, pts)
+    line_index = {line: i for i, line in enumerate(g.lines)}
+
+    def point(q):
+        return str(order[int(q)])
+
+    def line(j):
+        return str(line_index[tuple(order[q] for q in sub.lines[int(j)])])
+
+    if found := re.fullmatch(r"points (\d+),(\d+) lie on lines (\d+) and (\d+)", witness or ""):
+        a, b, i, j = found.groups()
+        return f"points {point(a)},{point(b)} lie on lines {line(i)} and {line(j)}"
+    if found := re.fullmatch(r"point (\d+) is collinear with (\d+) points of line (\d+)", witness or ""):
+        x, hits, li = found.groups()
+        return f"point {point(x)} is collinear with {hits} points of line {line(li)}"
+    return witness

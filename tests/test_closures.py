@@ -10,6 +10,7 @@ each under a seeded relabeling, and on mutants with lines deleted.
 """
 
 import random
+from itertools import combinations
 
 from nearhex import Geometry
 from nearhex.geometry import GeometryError, bits_of, convex_closures
@@ -147,3 +148,30 @@ def test_closures_match_the_reference_on_mutants(h3, dsp):
         sizes.update(len(c) for c in got)
     # besides quads and whole models, some closures of other sizes
     assert sizes - {9, 15, 105, 135}
+
+
+def test_closures_of_nested_repeated_and_equal_seeds(h3, dsp):
+    """The sweep gives each seed its own closure when one closure lies
+    strictly inside another's (``{x}`` in ``{x, y}``, a line in a quad),
+    when seeds repeat, and when distinct seeds close to one set, which
+    they then share as one frozenset."""
+    rng = random.Random(23)
+    for base in (h3, dsp):
+        g = _relabeled(base, rng)
+        x, y, _ = next(pair for pair in g.distance_two_pairs if pair[2] >= 2)
+        a, b = bits_of(g.adjacency[x] & g.adjacency[y])[:2]
+        seeds = [(x, y), (x,), (x, a), (x, y), (a, b), (y,), (x,), (y, x, y), (a, x)]
+        got = convex_closures(g, seeds)
+        assert got == reference_convex_closures(g, seeds)
+        quad, point, line = got[0], got[1], got[2]
+        assert point == {x} and len(line) == 3 and point < line < quad
+        assert len(quad) in (9, 15) and got[5] == {y}
+        for i, j in combinations(range(len(seeds)), 2):
+            assert (got[i] is got[j]) == (got[i] == got[j])
+        assert [got.index(c) for c in got] == [0, 1, 2, 0, 0, 5, 1, 0, 2]
+
+
+def test_equal_closures_share_one_frozenset(h3, dsp):
+    for g in (h3, dsp):
+        got = convex_closures(g, _qualifying_pairs(g))
+        assert len({id(c) for c in got}) == len(set(got)) == 63

@@ -1,6 +1,5 @@
 """The edge/factor quadrangle and its triad structure, scanned exhaustively."""
 
-import re
 from collections import Counter
 from itertools import combinations
 
@@ -18,14 +17,13 @@ from nearhex import (
     incomplete_triad_subgq,
     induced_geometry,
     is_gq,
-    metrics,
     perp,
 )
-from nearhex.geometry import collinear, induced_metrics
+from nearhex.geometry import collinear
 from nearhex.gq22 import EDGE_INDEX, EDGES, Triad
 from nearhex.labels import Edge
 
-from strategies import small_geometries
+from strategies import lifted_witness, small_geometries
 
 
 def eidx(name):
@@ -126,37 +124,14 @@ def test_is_gq_matches_the_axioms_on_known_cases(w2, grid33, h3):
         assert is_gq(g).order == order
 
 
-def lifted_witness(g, pts, witness):
-    """A witness for ``induced_geometry(g, pts)`` with its point and line
-    indices taken back to ``g``'s."""
-    order = sorted(set(pts))
-    sub = induced_geometry(g, pts)
-    line_index = {line: i for i, line in enumerate(g.lines)}
-
-    def point(q):
-        return str(order[int(q)])
-
-    def line(j):
-        return str(line_index[tuple(order[q] for q in sub.lines[int(j)])])
-
-    if found := re.fullmatch(r"points (\d+),(\d+) lie on lines (\d+) and (\d+)", witness or ""):
-        a, b, i, j = found.groups()
-        return f"points {point(a)},{point(b)} lie on lines {line(i)} and {line(j)}"
-    if found := re.fullmatch(r"point (\d+) is collinear with (\d+) points of line (\d+)", witness or ""):
-        x, hits, li = found.groups()
-        return f"point {point(x)} is collinear with {hits} points of line {line(li)}"
-    return witness
-
-
 def check_point_set(g, pts):
-    """``is_gq`` and ``induced_metrics`` on a point set against the induced
-    geometry, built and checked against the axioms one by one."""
+    """``is_gq`` on a point set against the induced geometry, built and
+    checked against the axioms one by one."""
     sub = induced_geometry(g, pts)
     order, witness = gq_verdict_by_axioms(sub)
     verdict = is_gq(g, pts)
     assert verdict.order == order
     assert verdict.witness == lifted_witness(g, pts, witness)
-    assert induced_metrics(g, pts) == metrics(sub)
 
 
 @st.composite

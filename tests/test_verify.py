@@ -7,21 +7,33 @@ double counting distance-2 pairs (18 per grid, 60 per (2,2)-quad), and all
 of it cross-checked by a from-scratch brute-force script.
 """
 
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearhex import (
     Geometry,
     GeometryError,
+    build_w2,
     check_np,
     dsp_case_analysis,
+    dual_geometry,
     enumerate_quads,
     h3_case_analysis,
     line_distance_profiles,
+    induced_geometry,
+    is_gq,
+    metrics,
     parameters,
 )
+from nearhex.geometry import convex_closures
+from nearhex.iso import relabel
 from nearhex.verify import QuadRecord, _classify_quad
+
+from strategies import lifted_witness, small_geometries
 
 
 def test_parameters_w2(w2):
@@ -144,6 +156,113 @@ def test_classify_quad_witnesses():
     for g, pts, order, witness in cases:
         pts = frozenset(pts)
         assert _classify_quad(g, pts) == QuadRecord(pts, "other", order, witness)
+
+
+def classify_quad_on_the_induced_geometry(g, pts):
+    """``_classify_quad``'s record, read off the induced geometry, built:
+    its ``metrics``, a point collinear with all others, then ``is_gq``,
+    with the witness taken back to ``g``'s indices."""
+    order = sorted(pts)
+    sub = induced_geometry(g, pts)
+    connected, diameter = metrics(sub)
+    if not connected:
+        return QuadRecord(pts, "other", None, "closure is disconnected")
+    if diameter != 2:
+        return QuadRecord(pts, "other", None, f"closure has diameter {diameter}")
+    for q, near in enumerate(sub.adjacency):
+        if near == sub.full_mask & ~(1 << q):
+            return QuadRecord(pts, "other", None, f"point {order[q]} adjacent to all others")
+    verdict = is_gq(sub)
+    kind = {(2, 1): "grid21", (2, 2): "gq22"}.get(verdict.order)
+    if kind:
+        return QuadRecord(pts, kind, verdict.order)
+    if verdict.ok:
+        return QuadRecord(pts, "other", verdict.order, f"generalized quadrangle of order {verdict.order}")
+    return QuadRecord(pts, "other", None, lifted_witness(g, pts, verdict.witness))
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.point_count))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _quad_closures(g, rng, seeds):
+    """The distinct closures of ``g``'s qualifying pairs and of ``seeds``
+    random seeds of 1 to 3 points."""
+    pairs = [(x, y) for x, y, common in g.distance_two_pairs if common >= 2]
+    random_seeds = [rng.sample(range(g.point_count), rng.randint(1, 3)) for _ in range(seeds)]
+    return dict.fromkeys(convex_closures(g, pairs + random_seeds))
+
+
+def test_classify_quad_matches_the_induced_geometry(w2, h3, dsp, h3_partitions, h3_debruyn):
+    """Every distinct closure of the five models, relabeled, and of random
+    seeds: quads of both kinds, single points, lines and whole models."""
+    rng = random.Random(31)
+    found = set()
+    for base in (w2, h3, dsp, h3_partitions, h3_debruyn):
+        g = _relabeled(base, rng)
+        for pts in _quad_closures(g, rng, 30):
+            record = _classify_quad(g, pts)
+            assert record == classify_quad_on_the_induced_geometry(g, pts)
+            found.add(record.witness or record.kind)
+    assert found == {"grid21", "gq22"} | {f"closure has diameter {d}" for d in (0, 1, 3)}
+
+
+def test_classify_quad_matches_the_induced_geometry_on_mutants(h3, dsp):
+    """1 to 5 lines deleted from h3 and dsp62: besides quads, closures of
+    diameter 0, 1, 3 and 4."""
+    rng = random.Random(34)
+    found = set()
+    for k in range(10):
+        base = (h3, dsp)[k % 2]
+        lines = list(base.lines)
+        for _ in range(rng.randint(1, 5)):
+            lines.pop(rng.randrange(len(lines)))
+        g = _relabeled(Geometry(base.point_count, tuple(lines)), rng)
+        for pts in _quad_closures(g, rng, 20):
+            record = _classify_quad(g, pts)
+            assert record == classify_quad_on_the_induced_geometry(g, pts)
+            found.add(record.witness or record.kind)
+    assert found == {"grid21", "gq22"} | {f"closure has diameter {d}" for d in (0, 1, 3, 4)}
+
+
+_GRID = Geometry(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)))
+# W(2), the grid, its dual K3,3, the square and the pentagon
+_SMALL_SPACES = (
+    build_w2(),
+    _GRID,
+    dual_geometry(_GRID),
+    Geometry(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+    Geometry(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))),
+)
+
+
+@st.composite
+def small_closures(draw):
+    """A geometry and the closure of a seed in it: a random geometry of up
+    to 8 points (some disconnected, some with two points on several lines),
+    or a small quadrangle or the pentagon with up to two random lines added,
+    whose closures reach the quadrangle axioms and fail each of them."""
+    if draw(st.booleans()):
+        g = draw(small_geometries())
+        if not g.point_count:
+            return g, frozenset()
+    else:
+        base = draw(st.sampled_from(_SMALL_SPACES))
+        line = st.lists(st.integers(0, base.point_count - 1), min_size=2, max_size=4, unique=True)
+        g = Geometry(base.point_count, base.lines + tuple(map(tuple, draw(st.lists(line, max_size=2)))))
+    points = st.integers(0, g.point_count - 1)
+    seed = draw(st.sets(points, min_size=1, max_size=3) | st.just(range(g.point_count)))
+    return g, convex_closures(g, [seed])[0]
+
+
+@given(small_closures())
+@settings(max_examples=300, deadline=None)
+def test_classify_quad_matches_the_induced_geometry_on_small_geometries(case):
+    g, pts = case
+    if pts:
+        assert _classify_quad(g, pts) == classify_quad_on_the_induced_geometry(g, pts)
 
 
 def test_quads_of_other_orders_carry_a_witness():
