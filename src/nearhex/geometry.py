@@ -109,19 +109,6 @@ class Geometry:
         return frozenset(self.lines)
 
     @cached_property
-    def pair_line(self) -> dict[tuple[int, int], int]:
-        """Map from a sorted collinear pair to the index of its (unique) line.
-
-        When the geometry is not a partial linear space the last line wins;
-        use :func:`validate_pls` to detect that situation.
-        """
-        out: dict[tuple[int, int], int] = {}
-        for i, line in enumerate(self.lines):
-            for a, b in combinations(line, 2):
-                out[(a, b)] = i
-        return out
-
-    @cached_property
     def distance_spheres(self) -> tuple[tuple[int, ...], ...]:
         """Per point, its distance layers in the collinearity graph as bitmasks.
 
@@ -284,17 +271,6 @@ def perp(g: Geometry, points: Iterable[int]) -> frozenset[int]:
     for p in pts:
         m &= g.adjacency[p] | (1 << p)
     return frozenset(bits_of(m))
-
-
-def third_point(g: Geometry, x: int, y: int) -> int:
-    """The third point of the (3-point) line through two collinear points."""
-    _check_points(g, (x, y))
-    if x == y or not collinear(g, x, y):
-        raise GeometryError(f"points {x} and {y} are not two collinear points")
-    line = g.lines[g.pair_line[(min(x, y), max(x, y))]]
-    if len(line) != 3:
-        raise GeometryError(f"line {line!r} does not have exactly 3 points")
-    return next(p for p in line if p != x and p != y)
 
 
 def distances(g: Geometry, x: int) -> DistanceTable:

@@ -7,23 +7,30 @@ and its inverse, each splitter cell counts neighbours through its own
 vertices' neighbour lists, and only the cells it touches split in place,
 by count.  A split moves only the touched vertices: the untouched keep the
 front of the cell, so its cost follows the neighbour visits, not the cell
-sizes.  A Hopcroft queue keeps out the first largest fragment of a cell
-that is not itself queued, and after individualizing a vertex only its
-singleton is queued.
+sizes.  A splitter that is a unit cell counts nothing: each of its
+neighbours has count 1, so a touched cell splits straight into its
+untouched front and touched back (bliss's unit-cell split; Junttila &
+Kaski, *Engineering an efficient canonical labeling tool for large and
+sparse graphs*, 2007).  A Hopcroft queue keeps out the first largest
+fragment of a cell that is not itself queued, and after individualizing a
+vertex only its singleton is queued.
 
 One tree walker, :class:`_Walker`, serves both entry points (McKay &
 Piperno, *Practical Graph Isomorphism II*, 2014).  Each node branches on
 the first largest cell, so a few levels of individualization make the
-partition discrete.  Each leaf is compared with the first leaf and with
-the least one so far; an equal certificate gives an automorphism, which
-unwinds the walk to where the two paths part and skips orbit-equivalent
-candidates from then on.  A node joins the orbits on its target cell
-through the cell's own vertices, only when new automorphisms have
-arrived, and stops once every vertex of the cell lies in the orbit of a
-tried one.  Because leaves are compared with the first leaf, the
-automorphisms found generate the stabiliser of each prefix of the first
-path, and the order of the automorphism group comes out as the product of
-the orbit lengths along that path.
+partition discrete.  Each leaf is first tried as an automorphism onto the
+first leaf, which needs no certificate; only a leaf that is not one builds
+its certificate, to compare with the least one so far, and an equal one
+is tried as an automorphism onto that leaf.  An automorphism is checked
+once per incidence, from its line end; it unwinds the walk to where the
+two paths part and skips orbit-equivalent candidates from then on.  A
+node joins the orbits on its target cell through the cell's own
+vertices, only when new automorphisms have arrived, and stops once every
+vertex of the cell lies in the orbit of a tried one.  Because leaves are
+tried against the first leaf, the automorphisms found generate the
+stabiliser of each prefix of the first path, and the order of the
+automorphism group comes out as the product of the orbit lengths along
+that path.
 
 :func:`canonical_form` keeps the least certificate, with a relabeling
 achieving it and that group order.  :func:`are_isomorphic` first rejects
@@ -182,18 +189,24 @@ def _refine(
     than it, given that it is already equitable with respect to every cell
     not listed in ``splitters``.
 
-    Each splitter counts neighbours from its own vertices' lists, and only
-    the cells it touches split, in place, into fragments ordered by count.
-    Only the touched vertices move: the untouched ones (count 0) keep the
-    front of the cell and its start, and the touched ones are swapped to
-    the back and written there by count, so a split costs the touched
-    vertices, not the cell.  A split cell that is queued queues all its
-    new fragments; one that is not queued queues all but its first
-    largest fragment (Hopcroft's rule).  Every touched cell appends
-    ``(splitter, cell, counts..., sizes...)`` to ``trace``.  With
-    ``replay``, each entry is compared with the next one of ``trace``
-    instead (another run's trace), and refinement stops and returns False
-    at the first that differs.  Deterministic and equivariant.
+    A splitter of two or more vertices counts neighbours from its own
+    vertices' lists, and only the cells it touches split, in place, into
+    fragments ordered by count.  Only the touched vertices move: the
+    untouched ones (count 0) keep the front of the cell and its start, and
+    the touched ones are swapped to the back and written there by count,
+    so a split costs the touched vertices, not the cell.  A unit splitter
+    gives each neighbour a count of 1, so it builds no counts: each touched
+    cell splits into its untouched front and its touched back, with the
+    moves and trace entries that a count of 1 gives, and a unit splitter
+    with no neighbour in a cell of two or more costs one pass over its
+    neighbour list.  A split cell that is queued queues all its new
+    fragments; one that is not queued queues all but its first largest
+    fragment (Hopcroft's rule).  Every touched cell appends
+    ``(splitter, cell, counts..., sizes...)`` to ``trace``, with count 0
+    first when some of the cell is untouched.  With ``replay``, each entry
+    is compared with the next one of ``trace`` instead (another run's
+    trace), and refinement stops and returns False at the first that
+    differs.  Deterministic and equivariant.
     """
     lab, pos, cell_of, end = part.lab, part.pos, part.cell_of, part.end
     queue = deque(splitters)
@@ -202,11 +215,59 @@ def _refine(
     while queue and part.open:
         sp = queue.popleft()
         queued.discard(sp)
+        if end[sp] - sp == 1:
+            # a unit splitter gives each neighbour a count of 1: every
+            # touched cell splits into its untouched front and touched back
+            hit: dict[int, list[int]] = {}
+            for w in nbrs[lab[sp]]:
+                s = cell_of[w]
+                if end[s] - s > 1:
+                    hit.setdefault(s, []).append(w)
+            for s in sorted(hit):
+                touched = hit[s]
+                e = end[s]
+                size = len(touched)
+                back = e - size
+                if trace is not None:
+                    entry = (sp, s, 0, 1, back - s, size) if back > s else (sp, s, 1, size)
+                    if not replay:
+                        trace.append(entry)
+                    elif matched == len(trace) or trace[matched] != entry:
+                        return False
+                    matched += 1
+                if back == s:
+                    continue
+                # mark the touched by their new cell, then fill each hole
+                # they leave in front of ``back`` with an untouched one
+                for w in touched:
+                    cell_of[w] = back
+                j = back
+                for w in touched:
+                    i = pos[w]
+                    if i < back:
+                        while cell_of[lab[j]] == back:
+                            j += 1
+                        u = lab[j]
+                        lab[i] = u
+                        pos[u] = i
+                        j += 1
+                for i, w in enumerate(touched, back):
+                    lab[i] = w
+                    pos[w] = i
+                end[s] = back
+                end[back] = e
+                part.open += (back - s > 1) + (size > 1) - 1
+                # keep out the larger fragment, the front on a tie or when
+                # the cell is queued already
+                f = s if size > back - s and s not in queued else back
+                queue.append(f)
+                queued.add(f)
+            continue
         counts: dict[int, int] = {}
         for v in lab[sp : end[sp]]:
             for w in nbrs[v]:
                 counts[w] = counts.get(w, 0) + 1
-        hit: dict[int, list[int]] = {}
+        hit = {}
         for w in counts:
             s = cell_of[w]
             if end[s] - s > 1:
@@ -358,10 +419,15 @@ class _Leaf:
 class _Walker:
     """Depth-first individualization-refinement over one geometry's tree.
 
-    Every leaf is compared with the first leaf and then with the least one
-    so far.  An equal certificate gives an automorphism, which is checked,
-    kept for orbit pruning, and unwinds the walk to the level where the two
-    paths part, since the subtrees below coincide.  Without a ``guide``,
+    Each leaf after the first is tried as an automorphism onto the first
+    leaf before it builds a certificate: an automorphism carries the
+    leaf's certificate onto the first's, and that is never less than
+    ``best``'s, so the try decides such a leaf exactly as an equal
+    certificate would.  Only a leaf that is not one builds and sorts its
+    certificate to compare with ``best``'s, and an equal certificate is
+    tried as an automorphism onto ``best``.  An automorphism found is kept
+    for orbit pruning and unwinds the walk to the level where the two paths
+    part, since the subtrees below coincide.  Without a ``guide``,
     ``best`` ends as the least leaf, and the automorphisms found generate
     the stabiliser of each prefix of the first path, so ``aut_order``, the
     product of the orbit lengths of the first path's vertices at its nodes,
@@ -410,6 +476,8 @@ class _Walker:
             if _mapping_ok(self.guide.lines, self.line_set, mapping):
                 self.mapping = tuple(mapping)
                 raise _PruneTo(-1)
+        if self.first is not None:
+            self._try_automorphism(lab, path, self.first)
         pos = [0] * self.n
         for position, v in enumerate(lab):
             pos[v] = position
@@ -417,25 +485,37 @@ class _Walker:
         if self.first is None:
             self.first = self.best = _Leaf(cert, lab, pos, path)
             return
-        for known in (self.first, self.best):
-            if cert != known.cert:
-                continue
-            # cells split in place, so an individualized vertex keeps its
-            # position: sigma carries this leaf's path onto the known one's
-            sigma = tuple(known.lab[pos[v]] for v in range(self.n))
-            if self._is_automorphism(sigma):
-                self.autos.append(sigma)
-                depth = 0
-                while path[depth] == known.path[depth]:
-                    depth += 1
-                raise _PruneTo(depth)
+        if self.best is not self.first and cert == self.best.cert:
+            self._try_automorphism(lab, path, self.best)
         if cert < self.best.cert:
             self.best = _Leaf(cert, lab, pos, path)
 
-    def _is_automorphism(self, sigma: tuple[int, ...]) -> bool:
+    def _try_automorphism(self, lab: list[int], path: tuple[int, ...], known: _Leaf) -> None:
+        """Unwind to where this leaf's path parts from ``known``'s if the
+        map between their vertex orders is an automorphism."""
+        # cells split in place, so an individualized vertex keeps its
+        # position: sigma carries this leaf's path onto the known one's
+        sigma = [0] * self.n
+        for v, w in zip(lab, known.lab):
+            sigma[v] = w
+        if self._is_automorphism(sigma):
+            self.autos.append(tuple(sigma))
+            depth = 0
+            while path[depth] == known.path[depth]:
+                depth += 1
+            raise _PruneTo(depth)
+
+    def _is_automorphism(self, sigma: Sequence[int]) -> bool:
+        """Whether ``sigma`` carries each line's points onto the points of
+        its image line.  ``sigma`` must keep points among points, as a map
+        between two leaves does, since refinement never merges the points
+        cell and the lines cell.  A bijection that carries every incidence
+        onto an incidence is then an automorphism, so each incidence is
+        checked once, from its line end."""
         nbrs = self.nbrs
         return all(
-            sorted(sigma[w] for w in nbrs[v]) == nbrs[sigma[v]] for v in range(self.n)
+            sorted([sigma[p] for p in nbrs[v]]) == nbrs[sigma[v]]
+            for v in range(self.n_points, self.n)
         )
 
     def _node(self, part: _Partition, path: tuple[int, ...]) -> None:

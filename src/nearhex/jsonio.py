@@ -31,8 +31,9 @@ def geometry_to_document(g: Geometry, name: str) -> dict:
 def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
     """Read a geometry document, rejecting what ``Geometry`` would quietly
     normalise: a repeated point on a line, a line given twice, and booleans
-    as point ids or line entries.  Labels must be distinct as well, since a
-    mapping is printed label by label."""
+    as point ids or line entries.  The name and every label must be
+    strings (a point without a label takes its id), and labels must be
+    distinct, since a mapping is printed label by label."""
     if not isinstance(doc, dict):
         raise GeometryError("geometry document must be a JSON object")
     try:
@@ -41,6 +42,8 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
         lines = doc["lines"]
     except (KeyError, TypeError) as exc:
         raise GeometryError(f"geometry document missing field: {exc}") from exc
+    if type(name) is not str:
+        raise GeometryError(f"'name' must be a string, not {name!r}")
     if not isinstance(points, list) or not isinstance(lines, list):
         raise GeometryError("'points' and 'lines' must be arrays")
     ids = []
@@ -48,8 +51,11 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
     for entry in points:
         if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise GeometryError(f"bad point entry: {entry!r}")
+        label = entry.get("label", str(entry["id"]))
+        if type(label) is not str:
+            raise GeometryError(f"point label must be a string: {entry!r}")
         ids.append(entry["id"])
-        labels.append(str(entry.get("label", entry["id"])))
+        labels.append(label)
     if ids != list(range(len(ids))):
         raise GeometryError("point ids must be 0..n-1 in order")
     if len(set(labels)) != len(labels):
@@ -63,7 +69,7 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
         if frozenset(line) in seen:
             raise GeometryError(f"line {line!r} is given twice")
         seen.add(frozenset(line))
-    return str(name), Geometry(len(ids), tuple(tuple(l) for l in lines), tuple(labels))
+    return name, Geometry(len(ids), tuple(tuple(l) for l in lines), tuple(labels))
 
 
 def dumps(doc: Any) -> str:

@@ -235,6 +235,36 @@ def test_loading_rejects_repeated_labels(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "name,label",
+    [("x", None), ("x", {"x": 1}), ("x", 1), ([1, 2], "a")],
+    ids=["null-label", "object-label", "integer-label", "array-name"],
+)
+def test_loading_rejects_names_and_labels_that_are_not_strings(tmp_path, capsys, name, label):
+    # str() would print them as "None", "{'x': 1}", "1" or "[1, 2]"
+    doc = {
+        "name": name,
+        "points": [{"id": 0, "label": label}, {"id": 1}, {"id": 2}],
+        "lines": [[0, 1, 2]],
+    }
+    with pytest.raises(GeometryError, match="string"):
+        document_to_geometry(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"name": "y", "points": [{"id": i} for i in range(3)], "lines": [[0, 1, 2]]}))
+    for first, second in ((good, bad), (bad, good)):
+        code, out, err = run(capsys, "iso", str(first), str(second))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_missing_label_defaults_to_the_id():
+    doc = {"name": "x", "points": [{"id": 0, "label": "a"}, {"id": 1}, {"id": 2}], "lines": [[0, 1, 2]]}
+    assert document_to_geometry(doc)[1].labels == ("a", "1", "2")
+
+
 def test_closed_stdout_is_an_output_error(monkeypatch, capsys):
     class ClosedPipe:
         def write(self, text):

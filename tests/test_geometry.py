@@ -16,7 +16,6 @@ from nearhex import (
     is_subspace,
     metrics,
     perp,
-    third_point,
     validate_pls,
 )
 from nearhex.geometry import bits_of
@@ -95,23 +94,6 @@ def test_perp_monotone_on_w2(subset):
 
 def test_perp_of_collinear_pair_is_their_line(w2):
     assert perp(w2, {E["12"], E["34"]}) == {E["12"], E["34"], E["56"]}
-
-
-def test_third_point(w2):
-    assert third_point(w2, E["12"], E["34"]) == E["56"]
-    assert third_point(w2, E["34"], E["12"]) == E["56"]
-
-
-def test_third_point_symmetric_everywhere(w2):
-    for line in w2.lines:
-        a, b, c = line
-        assert third_point(w2, a, b) == c
-        assert third_point(w2, b, c) == a
-
-
-def test_third_point_rejects_non_collinear(w2):
-    with pytest.raises(GeometryError):
-        third_point(w2, E["12"], E["13"])
 
 
 def test_distances_and_metrics(w2, h3, dsp):

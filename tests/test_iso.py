@@ -467,6 +467,41 @@ def test_aut_order_of_the_models(w2, h3, h3_partitions, h3_debruyn, dsp):
             assert canonical_form(copy).aut_order == EXPECTED[name].aut_order
 
 
+def test_is_automorphism_accepts_the_walkers_automorphisms(w2, h3, h3_partitions, h3_debruyn, dsp):
+    """Every automorphism the walker keeps passes the one-sided check and,
+    independently, carries each line vertex onto the vertex of the image
+    line, with its points onto that line's points."""
+    for g in (w2, h3, h3_partitions, h3_debruyn, dsp):
+        walker = _Walker(g)
+        walker.run()
+        assert walker.autos
+        n_points = g.point_count
+        line_index = {line: li for li, line in enumerate(g.lines)}
+        for sigma in walker.autos:
+            assert walker._is_automorphism(sigma)
+            assert sorted(sigma[:n_points]) == list(range(n_points))
+            for li, line in enumerate(g.lines):
+                image = tuple(sorted(sigma[p] for p in line))
+                assert sigma[n_points + li] == n_points + line_index[image]
+
+
+def test_is_automorphism_rejects_a_swap(w2, h3, h3_partitions, h3_debruyn, dsp):
+    """The identity with two line vertices swapped keeps the points and so
+    moves no line's points; the identity with two points swapped moves the
+    points of a line that holds one of them and not the other, while it
+    fixes every line vertex."""
+    for g in (w2, h3, h3_partitions, h3_debruyn, dsp):
+        walker = _Walker(g)
+        n_points = g.point_count
+        assert walker._is_automorphism(list(range(walker.n)))
+        sigma = list(range(walker.n))
+        sigma[n_points], sigma[n_points + 1] = n_points + 1, n_points
+        assert not walker._is_automorphism(sigma)
+        swap = [1, 0, *range(2, n_points)]
+        assert relabel(g, swap).line_set != g.line_set  # no automorphism swaps 0 and 1 alone
+        assert not walker._is_automorphism(swap + list(range(n_points, walker.n)))
+
+
 @given(st.sampled_from([cyclic_sts13(), pg32_sts15()]).flatmap(
     lambda base: st.tuples(
         pasch_switched(base), pasch_switched(base), st.permutations(range(base.point_count))
@@ -528,6 +563,15 @@ def naive_refine(adj, cells, active):
     return cells
 
 
+def incidence_image(g, perm, copy):
+    """Where each incidence-graph vertex of ``g`` goes in ``copy``, which is
+    ``relabel(g, perm)``."""
+    line_index = {line: li for li, line in enumerate(copy.lines)}
+    return perm + [
+        g.point_count + line_index[tuple(sorted(perm[p] for p in line))] for line in g.lines
+    ]
+
+
 def cells_of(part):
     """The cells of a partition, after checking its bookkeeping."""
     cells = [part.lab[s : part.end[s]] for s in part.starts()]
@@ -562,10 +606,7 @@ def test_refine_matches_the_naive_split_loop(g, data):
     perm = data.draw(st.permutations(range(g.point_count)))
     copy = relabel(g, perm)
     nbrs_copy = _incidence_neighbours(copy)
-    line_index = {line: li for li, line in enumerate(copy.lines)}
-    image = perm + [
-        g.point_count + line_index[tuple(sorted(perm[p] for p in line))] for line in g.lines
-    ]
+    image = incidence_image(g, perm, copy)
     part_copy = _Partition.points_then_lines(copy.point_count, len(nbrs_copy))
     assert _refine(nbrs_copy, part_copy, part_copy.starts(), trace, replay=True)
     assert [set(c) for c in cells_of(part_copy)] == [{image[u] for u in c} for c in refined]
@@ -598,3 +639,55 @@ def test_refine_matches_the_naive_split_loop(g, data):
     want = naive_refine(adj, split, active)
     assert {frozenset(c) for c in refined} == {frozenset(c) for c in want}
     assert_equitable(nbrs, refined)
+
+
+class UnitMarkingTrace(list):
+    """A refinement trace that also notes, per entry, whether its splitter
+    was a unit cell when it split: a splitter never touches its own cell in
+    the bipartite incidence graph, so its size is unchanged at that point."""
+
+    def __init__(self, part):
+        super().__init__()
+        self.part = part
+        self.unit = []
+
+    def append(self, entry):
+        self.unit.append(self.part.end[entry[0]] - entry[0] == 1)
+        super().append(entry)
+
+
+def test_replay_fails_at_an_altered_unit_split_entry(h3):
+    """Individualize a vertex of h3 and record the trace; a relabeled copy
+    with the image vertex individualized replays it, and the replay fails
+    once any one entry written by a unit splitter has its size altered."""
+    nbrs = _incidence_neighbours(h3)
+    part = _Partition.points_then_lines(h3.point_count, len(nbrs))
+    assert _refine(nbrs, part, part.starts())
+    target = part.target()
+    v = part.lab[target]
+    part.individualize(target, v)
+    trace = UnitMarkingTrace(part)
+    assert _refine(nbrs, part, [target], trace)
+    unit_entries = [k for k, unit in enumerate(trace.unit) if unit]
+    assert unit_entries and trace.unit[0] and len(unit_entries) < len(trace)
+    assert any(len(trace[k]) == 6 for k in unit_entries)  # a split with an untouched front
+
+    perm = list(range(h3.point_count))
+    random.Random(14).shuffle(perm)
+    copy = relabel(h3, perm)
+    nbrs_copy = _incidence_neighbours(copy)
+    root = _Partition.points_then_lines(copy.point_count, len(nbrs_copy))
+    assert _refine(nbrs_copy, root, root.starts())
+    image = incidence_image(h3, perm, copy)[v]
+    assert root.cell_of[image] == target
+
+    def replay(entries):
+        child = root.copy()
+        child.individualize(target, image)
+        return _refine(nbrs_copy, child, [target], list(entries), replay=True)
+
+    assert replay(trace)
+    for k in unit_entries:
+        altered = list(trace)
+        altered[k] = (*trace[k][:-1], trace[k][-1] + 1)
+        assert not replay(altered)
