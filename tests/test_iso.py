@@ -486,10 +486,10 @@ def test_is_automorphism_accepts_the_walkers_automorphisms(w2, h3, h3_partitions
 
 
 def test_is_automorphism_rejects_a_swap(w2, h3, h3_partitions, h3_debruyn, dsp):
-    """The identity with two line vertices swapped keeps the points and so
-    moves no line's points; the identity with two points swapped moves the
-    points of a line that holds one of them and not the other, while it
-    fixes every line vertex."""
+    """The identity with two line vertices swapped sends a line to another
+    while it keeps the first line's points; the identity with two points
+    swapped moves the points of a line that holds one of them and not the
+    other, while it keeps that line."""
     for g in (w2, h3, h3_partitions, h3_debruyn, dsp):
         walker = _Walker(g)
         n_points = g.point_count
