@@ -10,13 +10,11 @@ from .builders import (
     debruyn_census,
 )
 from .geometry import (
-    DistanceTable,
     Geometry,
     GeometryError,
     Metrics,
     convex_closure,
     convex_closures,
-    distances,
     dual_geometry,
     induced_geometry,
     is_geometric_hyperplane,
@@ -53,7 +51,6 @@ __all__ = [
     "CanonicalForm",
     "CaseReport",
     "DebruynCensus",
-    "DistanceTable",
     "Edge",
     "Geometry",
     "GeometryError",
@@ -78,7 +75,6 @@ __all__ = [
     "convex_closure",
     "convex_closures",
     "debruyn_census",
-    "distances",
     "dsp_case_analysis",
     "dual_geometry",
     "enumerate_quads",

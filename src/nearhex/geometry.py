@@ -160,33 +160,71 @@ class Geometry:
         )
 
     @cached_property
+    def line_levels(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per line, the points off it grouped as ``(k, m, mask)``, ordered
+        by lowest point: the line first reaches ``mask`` at distance ``k``,
+        through exactly ``m`` of its points.  A line's points are pairwise
+        collinear, so such a point lies at distance ``k + 1`` from the rest;
+        the points it cannot reach form ``(UNREACHABLE, len(line), mask)``.
+
+        One level pass per line: at level ``k`` each line point's sphere
+        ``S_k``, minus the points already reached, is added into bit-sliced
+        count planes (bit ``i`` of a point's count is its bit in
+        ``planes[i]``), so lines of any size count exactly.
+        """
+        spheres = self.distance_spheres
+        full = self.full_mask
+        census = []
+        for line, seen in zip(self.lines, self.line_masks):
+            line_spheres = [spheres[p] for p in line]
+            groups = []
+            k = 1
+            while True:
+                unseen = ~seen
+                planes: list[int] = []
+                for layers in line_spheres:
+                    if k < len(layers):
+                        h = layers[k] & unseen
+                        i = 0
+                        for plane in planes:
+                            planes[i] = plane ^ h
+                            h &= plane
+                            if not h:
+                                break
+                            i += 1
+                        else:
+                            if h:
+                                planes.append(h)
+                if not planes:
+                    break
+                for m in range(1, 1 << len(planes)):
+                    part = -1  # m >= 1 sets a plane's bit, which bounds part
+                    for i, plane in enumerate(planes):
+                        part &= plane if m >> i & 1 else ~plane
+                    if part:
+                        groups.append((k, m, part))
+                        seen |= part
+                k += 1
+            if seen != full:
+                groups.append((UNREACHABLE, len(line), full & ~seen))
+            groups.sort(key=lambda group: group[2] & -group[2])
+            census.append(tuple(groups))
+        return tuple(census)
+
+    @cached_property
     def np_verdict(self) -> NpVerdict:
         """The near-polygon axiom: every point off a line has a unique
         nearest point on it.  Raises for disconnected geometries, where
         distance is undefined.
 
-        Each line is tested whole: at distance level ``k`` the points first
-        reached by some line point's sphere ``S_k`` are nearest to the line
-        at ``k``, and those reached by two of them violate the axiom.  The
-        witness is the lowest such point on the lowest-indexed failing line.
+        Read off ``line_levels``: a line fails when it reaches some point
+        through two or more of its points at once.  The witness is the
+        lowest such point on the lowest-indexed failing line.
         """
         if not metrics(self).connected:
             raise GeometryError("near-polygon check requires a connected geometry")
-        spheres = self.distance_spheres
-        for li, line in enumerate(self.lines):
-            line_spheres = [spheres[p] for p in line]
-            seen = bad = 0
-            for level in range(max(map(len, line_spheres))):
-                once = twice = 0
-                for layers in line_spheres:
-                    if level < len(layers):
-                        fresh = layers[level] & ~seen
-                        twice |= once & fresh
-                        once |= fresh
-                if not once:
-                    break
-                bad |= twice
-                seen |= once
+        for li, groups in enumerate(self.line_levels):
+            bad = sum(mask for _, m, mask in groups if m >= 2)  # groups are disjoint
             if bad:
                 return NpVerdict(False, ((bad & -bad).bit_length() - 1, li))
         return NpVerdict(True, None)
@@ -206,14 +244,6 @@ class Geometry:
     @property
     def full_mask(self) -> int:
         return (1 << self.point_count) - 1
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """BFS distances from ``source`` in the collinearity graph."""
-
-    source: int
-    dist: tuple[int, ...]
 
 
 class NpVerdict(NamedTuple):
@@ -271,11 +301,6 @@ def perp(g: Geometry, points: Iterable[int]) -> frozenset[int]:
     for p in pts:
         m &= g.adjacency[p] | (1 << p)
     return frozenset(bits_of(m))
-
-
-def distances(g: Geometry, x: int) -> DistanceTable:
-    (src,) = _check_points(g, (x,))
-    return DistanceTable(src, g.distance_rows[src])
 
 
 def metrics(g: Geometry) -> Metrics:

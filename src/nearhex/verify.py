@@ -83,34 +83,25 @@ def line_distance_profiles(
 ) -> dict[tuple[int, ...], int]:
     """Census of sorted distance multisets from external points to lines.
 
-    The points off a line are split by sphere membership, one line point
-    after another, so each group shares one profile; points a line point
-    cannot reach get the entry UNREACHABLE.  A line index outside
-    ``0..len(g.lines) - 1`` raises ``GeometryError``.
+    Read off ``g.line_levels``: a group ``(k, m)`` of a line of ``s``
+    points has the profile ``(k,) * m + (k + 1,) * (s - m)``, which for
+    unreachable points is ``(UNREACHABLE,) * s``.  Groups come in order of
+    their lowest point, so profiles are counted in the order a point scan
+    meets them.  A line index that is not an ``int`` (or is a ``bool``) or
+    lies outside ``0..len(g.lines) - 1`` raises ``GeometryError``.
     """
-    spheres = g.distance_spheres
-    full = g.full_mask
     indices = range(len(g.lines)) if line_indices is None else list(line_indices)
     for li in indices:
+        if not isinstance(li, int) or isinstance(li, bool):
+            raise GeometryError(f"line index {li!r} is not an integer")
         if not 0 <= li < len(g.lines):
             raise GeometryError(f"line index {li} out of range")
+    census = g.line_levels
     out: dict[tuple[int, ...], int] = {}
     for li in indices:
-        groups = [((), full & ~g.line_masks[li])]
-        for p in g.lines[li]:
-            split = []
-            for profile, rest in groups:
-                for d, layer in enumerate(spheres[p]):
-                    part = rest & layer
-                    if part:
-                        split.append((profile + (d,), part))
-                        rest ^= part
-                if rest:
-                    split.append((profile + (UNREACHABLE,), rest))
-            groups = split
-        # count in order of each group's lowest point, as a point scan would
-        for profile, members in sorted(groups, key=lambda group: group[1] & -group[1]):
-            key = tuple(sorted(profile))
+        size = len(g.lines[li])
+        for k, m, members in census[li]:
+            key = (k,) * m + (k + 1,) * (size - m)
             out[key] = out.get(key, 0) + members.bit_count()
     return out
 

@@ -8,7 +8,6 @@ from nearhex import (
     Geometry,
     GeometryError,
     convex_closure,
-    distances,
     dual_geometry,
     induced_geometry,
     is_geometric_hyperplane,
@@ -100,13 +99,13 @@ def test_distances_and_metrics(w2, h3, dsp):
     assert metrics(w2) == (True, 2)
     assert metrics(h3) == (True, 3)
     assert metrics(dsp) == (True, 3)
-    table = distances(w2, 0)
-    assert table.dist[0] == 0
-    assert sorted(set(table.dist)) == [0, 1, 2]
+    row = w2.distance_rows[0]
+    assert row[0] == 0
+    assert sorted(set(row)) == [0, 1, 2]
 
 
 def test_distance_lipschitz_along_lines(h3):
-    rows = [distances(h3, s).dist for s in range(0, 105, 21)]
+    rows = [h3.distance_rows[s] for s in range(0, 105, 21)]
     for row in rows:
         for line in h3.lines:
             a, b, c = line

@@ -6,6 +6,7 @@ they include disconnected spaces and spaces where two points share several
 lines (not partial linear spaces).
 """
 
+import random
 from collections import deque
 from itertools import combinations
 
@@ -27,7 +28,8 @@ from nearhex import (
 )
 from nearhex.acceptance import run_acceptance
 from nearhex.cli import MODELS, main
-from nearhex.geometry import UNREACHABLE
+from nearhex.geometry import UNREACHABLE, bits_of
+from nearhex.iso import relabel
 
 from strategies import small_geometries
 
@@ -181,6 +183,91 @@ def test_convex_closures_of_no_seeds_and_of_an_empty_seed(w2):
         convex_closure(w2, ())
 
 
+def assert_line_levels_match_rows(g):
+    """Each line's groups partition the points off it, in order of their
+    lowest point, one group per ``(k, m)``; a group's points lie at
+    distance ``k`` from exactly ``m`` line points and ``k + 1`` from the
+    rest, and the unreachable group holds the points no line point reaches."""
+    rows = g.distance_rows
+    assert len(g.line_levels) == len(g.lines)
+    for line, lm, groups in zip(g.lines, g.line_masks, g.line_levels):
+        lows = [mask & -mask for _, _, mask in groups]
+        assert all(lows) and lows == sorted(lows)
+        assert len({(k, m) for k, m, _ in groups}) == len(groups)
+        covered = lm
+        for k, m, mask in groups:
+            assert not covered & mask
+            covered |= mask
+            for x in bits_of(mask):
+                ds = sorted(rows[x][p] for p in line)
+                if k == UNREACHABLE:
+                    assert m == len(line) and set(ds) == {UNREACHABLE}
+                else:
+                    assert 1 <= m <= len(line)
+                    assert ds == [k] * m + [k + 1] * (len(line) - m)
+        assert covered == g.full_mask
+
+
+@given(small_geometries())
+@settings(max_examples=150, deadline=None)
+def test_line_levels_match_rows(g):
+    assert_line_levels_match_rows(g)
+
+
+# a line of 5 points; 5 sees 4 of them, 6 sees them through 5, 7 sees all 5
+FIVE_POINT_LINE = Geometry(
+    8,
+    ((0, 1, 2, 3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (5, 6))
+    + tuple((p, 7) for p in range(5)),
+)
+
+
+@pytest.mark.parametrize(
+    "g, levels, profiles, np",
+    [
+        # counts of 4 and 5 need a third count plane
+        (
+            FIVE_POINT_LINE,
+            ((1, 4, 1 << 5), (2, 4, 1 << 6), (1, 5, 1 << 7)),
+            {(1, 1, 1, 1, 2): 1, (2, 2, 2, 2, 3): 1, (1, 1, 1, 1, 1): 1},
+            (False, (5, 0)),
+        ),
+        # disconnected: each line reaches nothing off it, and a lone point
+        (
+            Geometry(6, ((0, 1, 2), (3, 4))),
+            ((UNREACHABLE, 3, 0b111000),),
+            {(UNREACHABLE,) * 3: 3},
+            None,
+        ),
+        # not a partial linear space: 0 and 1 share two lines, so 3 is
+        # collinear with two points of the first line
+        (
+            Geometry(4, ((0, 1, 2), (0, 1, 3))),
+            ((1, 2, 1 << 3),),
+            {(1, 1, 2): 1},
+            (False, (3, 0)),
+        ),
+        # a pentagon: 3 is nearest to both ends of the line {0, 1} at once
+        (
+            Geometry(5, tuple((i, (i + 1) % 5) for i in range(5))),
+            ((1, 1, 1 << 2 | 1 << 4), (2, 2, 1 << 3)),
+            {(1, 2): 2, (2, 2): 1},
+            (False, (3, 0)),
+        ),
+    ],
+)
+def test_line_levels_on_geometries_beyond_the_strategy(g, levels, profiles, np):
+    assert_line_levels_match_rows(g)
+    assert g.line_levels[0] == levels
+    assert line_distance_profiles(g, [0]) == profiles
+    assert line_distance_profiles(g) == profiles_by_rows(g)
+    if np is None:
+        with pytest.raises(GeometryError):
+            check_np(g)
+    else:
+        assert tuple(check_np(g)) == np == check_np_by_rows(g)
+
+
 @given(small_geometries())
 @settings(max_examples=150, deadline=None)
 def test_check_np_matches_rows(g):
@@ -205,9 +292,31 @@ def test_line_distance_profiles_match_rows(g, data):
 
 
 def test_routines_match_rows_on_the_models(w2, h3, dsp, h3_partitions, h3_debruyn):
-    for g in (w2, h3, dsp, h3_partitions, h3_debruyn):
-        assert tuple(check_np(g)) == check_np_by_rows(g)
-        assert line_distance_profiles(g) == profiles_by_rows(g)
+    rng = random.Random(15)
+    for model in (w2, h3, dsp, h3_partitions, h3_debruyn):
+        perm = list(range(model.point_count))
+        rng.shuffle(perm)
+        for g in (model, relabel(model, perm)):
+            assert tuple(check_np(g)) == check_np_by_rows(g)
+            # same counts in the same order as a point-by-point scan
+            assert list(line_distance_profiles(g).items()) == list(profiles_by_rows(g).items())
+            assert_line_levels_match_rows(g)
+
+
+def test_check_np_witness_matches_rows_on_line_deleted_models(h3, dsp):
+    rng = random.Random(15)
+    for g in (h3, dsp):
+        for count in (1, 2, 3):
+            drop = set(rng.sample(range(len(g.lines)), count))
+            mutant = Geometry(
+                g.point_count, tuple(line for i, line in enumerate(g.lines) if i not in drop)
+            )
+            verdict = check_np(mutant)
+            assert not verdict.ok
+            assert tuple(verdict) == check_np_by_rows(mutant)
+            assert list(line_distance_profiles(mutant).items()) == list(
+                profiles_by_rows(mutant).items()
+            )
 
 
 def test_convex_closure_completes_every_line_through_a_pair():

@@ -109,7 +109,7 @@ def test_line_distance_profiles(h3, dsp):
     assert line_distance_profiles(dsp, [314]) == {(1, 2, 2): 36, (2, 3, 3): 96}
 
 
-@pytest.mark.parametrize("indices", [[-1], [15], [99], [0, -15]])
+@pytest.mark.parametrize("indices", [[-1], [15], [99], [0, -15], [True], [1.0]])
 def test_line_distance_profiles_rejects_out_of_range_indices(w2, indices):
     with pytest.raises(GeometryError, match="line index"):
         line_distance_profiles(w2, indices)
