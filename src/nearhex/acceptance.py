@@ -1,15 +1,17 @@
 """The acceptance suite: every headline claim about the constructed
 geometries, run exhaustively and timed.
 
-Each criterion returns a :class:`CriterionResult`; the ``report`` CLI
-command and the test suite both consume :func:`run_acceptance`.
+Each criterion is written once, as a body that records its expectations
+and returns its counts; the :func:`_criterion` decorator times it and
+builds its :class:`CriterionResult`.  The ``report`` CLI command and the
+test suite both consume :func:`run_acceptance`.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import combinations
 
 from .builders import (
@@ -56,10 +58,6 @@ class CriterionResult:
     counts: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "fail"
-
 
 class _Checker:
     def __init__(self):
@@ -73,21 +71,29 @@ class _Checker:
                 self.witnesses.append(witness)
 
 
-def _result(criterion, title, limit, check: _Checker, counts, t0) -> CriterionResult:
-    return CriterionResult(
-        criterion,
-        title,
-        "pass" if check.ok else "fail",
-        time.perf_counter() - t0,
-        limit,
-        counts,
-        sorted(check.witnesses),
-    )
+def _criterion(number: int, title: str, limit: float | None):
+    """Make ``body(c, models, census) -> counts`` a timed criterion: the body
+    records its expectations on a fresh :class:`_Checker` ``c``, and the
+    verdict is "info" without a limit, else "pass" or "fail" from ``c``."""
+
+    def decorate(body):
+        @wraps(body)
+        def run(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
+            t0 = time.perf_counter()
+            c = _Checker()
+            counts = body(c, models, census)
+            verdict = "info" if limit is None else "pass" if c.ok else "fail"
+            return CriterionResult(
+                number, title, verdict, time.perf_counter() - t0, limit, counts, sorted(c.witnesses)
+            )
+
+        return run
+
+    return decorate
 
 
-def criterion_1(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(1, "W(2) model: 15 points, 15 lines, order (2,2), self-dual", 1.0)
+def criterion_1(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     w2 = models["w2"]
     want = EXPECTED["w2"]
     verdict = is_gq(w2)
@@ -97,13 +103,11 @@ def criterion_1(models: dict[str, Geometry], census: DebruynCensus) -> Criterion
     dual = dual_geometry(w2)
     iso = are_isomorphic(w2, dual)
     c.expect(iso.isomorphic, f"self-duality failed: {iso.detail}")
-    counts = {"points": w2.point_count, "lines": len(w2.lines), "order": list(verdict.order or ())}
-    return _result(1, "W(2) model: 15 points, 15 lines, order (2,2), self-dual", 1.0, c, counts, t0)
+    return {"points": w2.point_count, "lines": len(w2.lines), "order": list(verdict.order or ())}
 
 
-def criterion_2(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(2, "Triad facts: perp sizes 1/3, 20+60 split, unique grids and complete triads", 1.0)
+def criterion_2(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     w2 = models["w2"]
     counts = {}
     for mode in ("points", "lines"):
@@ -130,15 +134,10 @@ def criterion_2(models: dict[str, Geometry], census: DebruynCensus) -> Criterion
     for x, y in noncollinear:
         complete_triad_through(w2, x, y)  # raises unless unique
     counts["noncollinear_pairs"] = len(noncollinear)
-    return _result(
-        2, "Triad facts: perp sizes 1/3, 20+60 split, unique grids and complete triads", 1.0, c, counts, t0
-    )
+    return counts
 
 
-def _hexagon_criterion(criterion, title, limit, models, name) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
-    g = models[name]
+def _hexagon_counts(c: _Checker, g: Geometry, name: str) -> dict:
     want = EXPECTED[name]
     p = parameters(g)
     c.expect(p.v == want.v, f"v={p.v}")
@@ -153,30 +152,23 @@ def _hexagon_criterion(criterion, title, limit, models, name) -> CriterionResult
     c.expect(len(g.lines) == want.lines, f"line count {len(g.lines)}")
     np = check_np(g)
     c.expect(np.ok, f"near-polygon axiom fails at {np.witness}")
-    counts = {
+    return {
         "v": p.v,
         "lines": len(g.lines),
         "lines_per_point": sorted(p.lines_per_point),
         "t2_values": sorted(p.t2_values),
         "diameter": p.diameter,
     }
-    return _result(criterion, title, limit, c, counts, t0)
 
 
-def criterion_3(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    return _hexagon_criterion(
-        3, "105-point hexagon: v=105, t+1=6, dense, NP, diameter 3, t2 in {1,2}", 5.0, models, "h3"
-    )
+@_criterion(3, "105-point hexagon: v=105, t+1=6, dense, NP, diameter 3, t2 in {1,2}", 5.0)
+def criterion_3(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
+    return _hexagon_counts(c, models["h3"], "h3")
 
 
-def criterion_4(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    return _hexagon_criterion(
-        4,
-        "135-point space: v=135, 315 lines, t+1=7, dense, NP, diameter 3, t2=2",
-        10.0,
-        models,
-        "dsp62",
-    )
+@_criterion(4, "135-point space: v=135, 315 lines, t+1=7, dense, NP, diameter 3, t2=2", 10.0)
+def criterion_4(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
+    return _hexagon_counts(c, models["dsp62"], "dsp62")
 
 
 def _case_counts(c: _Checker, reports, name: str) -> dict:
@@ -192,30 +184,24 @@ def _case_counts(c: _Checker, reports, name: str) -> dict:
     return counts
 
 
-def criterion_5(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(5, "105-point case analysis: A1/A2 give 2, A3 gives 3, A4 gives distance 3", 5.0)
+def criterion_5(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     counts = _case_counts(c, h3_case_analysis(models["h3"]), "h3")
     total = sum(case["pairs"] for case in counts.values())
     v = EXPECTED["h3"].v
     c.expect(total == v * (v - 1) // 2, f"partition covers {total} of {v * (v - 1) // 2} pairs")
     counts["total_pairs"] = total
-    return _result(
-        5, "105-point case analysis: A1/A2 give 2, A3 gives 3, A4 gives distance 3", 5.0, c, counts, t0
-    )
+    return counts
 
 
-def criterion_6(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(6, "135-point case analysis: B1/B2/B4/B5 give 3, B3/B6/B7 give distance 3", 10.0)
+def criterion_6(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     dsp = models["dsp62"]
-    counts = _case_counts(c, dsp_case_analysis(dsp, EXPECTED["dsp62"].hexagon), "dsp62")
-    # each line is profiled once: the glue lines, then the others
-    glue, inner = [], []
-    for i, line in enumerate(dsp.lines):
-        (glue if any(p >= 105 for p in line) else inner).append(i)
+    hexagon = EXPECTED["dsp62"].hexagon
+    counts = _case_counts(c, dsp_case_analysis(dsp, hexagon), "dsp62")
+    glue = [i for i, line in enumerate(dsp.lines) if any(p not in hexagon for p in line)]
+    profiles = line_distance_profiles(dsp)
     glue_profiles = line_distance_profiles(dsp, glue)
-    profiles = Counter(line_distance_profiles(dsp, inner)) + Counter(glue_profiles)
     c.expect(
         set(profiles) <= HEX_PROFILES,
         f"unexpected line distance profiles {sorted(set(profiles) - HEX_PROFILES)}",
@@ -227,24 +213,18 @@ def criterion_6(models: dict[str, Geometry], census: DebruynCensus) -> Criterion
     )
     counts["line_profiles"] = {str(k): v for k, v in sorted(profiles.items())}
     counts["glue_line_profiles"] = {str(k): v for k, v in sorted(glue_profiles.items())}
-    return _result(
-        6, "135-point case analysis: B1/B2/B4/B5 give 3, B3/B6/B7 give distance 3", 10.0, c, counts, t0
-    )
+    return counts
 
 
-def criterion_7(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(7, "The 105-point hexagon is a geometric hyperplane of the 135-point space", 1.0)
+def criterion_7(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     ok = is_geometric_hyperplane(models["dsp62"], EXPECTED["dsp62"].hexagon)
     c.expect(ok, "embedded 105-point set is not a geometric hyperplane")
-    return _result(
-        7, "The 105-point hexagon is a geometric hyperplane of the 135-point space", 1.0, c, {"hyperplane": ok}, t0
-    )
+    return {"hyperplane": ok}
 
 
-def criterion_8(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(8, "Model isomorphisms: three 105-point models agree, 135-point differs", 60.0)
+def criterion_8(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     counts = {}
     for name_a, name_b in combinations(("h3", "h3-partition", "h3-debruyn"), 2):
         a, b = models[name_a], models[name_b]
@@ -262,14 +242,11 @@ def criterion_8(models: dict[str, Geometry], census: DebruynCensus) -> Criterion
     verdict = are_isomorphic(models["h3"], models["dsp62"])
     c.expect(not verdict.isomorphic, "105- and 135-point spaces compare isomorphic")
     counts["h3~dsp62"] = verdict.isomorphic
-    return _result(
-        8, "Model isomorphisms: three 105-point models agree, 135-point differs", 60.0, c, counts, t0
-    )
+    return counts
 
 
-def criterion_9(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
-    c = _Checker()
+@_criterion(9, "Quad census: all 135-point quads are (2,2); 105-point has both kinds", 30.0)
+def criterion_9(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     counts = {}
     for name in ("dsp62", "h3"):
         allowed = EXPECTED[name].quad_kinds
@@ -279,15 +256,15 @@ def criterion_9(models: dict[str, Geometry], census: DebruynCensus) -> Criterion
             c.expect(q.kind in allowed, f"{name} quad {sorted(q.points)[:4]}...: {q.kind} {q.witness}")
         c.expect({k for k, n in kinds.items() if n} == allowed, f"{name} quad kinds {kinds}")
         counts[name] = kinds
-    return _result(
-        9, "Quad census: all 135-point quads are (2,2); 105-point has both kinds", 30.0, c, counts, t0
-    )
+    return counts
 
 
-def criterion_10(models: dict[str, Geometry], census: DebruynCensus) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(
+    10, "Flag-model swap lines: completeness census of their escort triads (documentation only)", None
+)
+def criterion_10(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     kinds = census.escort_kind_counts
-    counts = {
+    return {
         "line_type_counts": census.type_counts,
         "swap_line_escort_triads": kinds,
         # these triads are sometimes described as incomplete; record
@@ -295,15 +272,6 @@ def criterion_10(models: dict[str, Geometry], census: DebruynCensus) -> Criterio
         "described_kind": "incomplete",
         "agrees_with_description": kinds["complete"] == 0,
     }
-    return CriterionResult(
-        10,
-        "Flag-model swap lines: completeness census of their escort triads (documentation only)",
-        "info",
-        time.perf_counter() - t0,
-        None,
-        counts,
-        [],
-    )
 
 
 CRITERIA = (
@@ -341,7 +309,7 @@ def acceptance_report(results: list[CriterionResult]) -> dict:
     # yields byte-identical reports; the test suite enforces the limits
     return {
         "suite": "nearhex-acceptance",
-        "all_pass": not any(r.failed for r in results),
+        "all_pass": all(r.verdict != "fail" for r in results),
         "criteria": [
             {
                 "criterion": r.criterion,

@@ -38,12 +38,6 @@ def _base_triples(w2: Geometry) -> list[tuple[int, int, int]]:
     return triples
 
 
-def h3_point_list() -> list[tuple[int, int]]:
-    """Point order of the 105-point hexagon: (x, u') with u' in x'^perp."""
-    w2 = build_w2()
-    return [(x, u) for x in range(15) for u in sorted(perp(w2, (x,)))]
-
-
 def build_h3() -> Geometry:
     """Build the 105-point near hexagon with Pair labels.
 
@@ -54,7 +48,8 @@ def build_h3() -> Geometry:
     facts are checked here rather than assumed.
     """
     w2 = build_w2()
-    points = h3_point_list()
+    # point order: (x, u') with u' in x'^perp
+    points = [(x, u) for x in range(15) for u in sorted(perp(w2, (x,)))]
     index = {p: i for i, p in enumerate(points)}
     lines = set()
     for t in _base_triples(w2):

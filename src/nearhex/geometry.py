@@ -59,11 +59,18 @@ class Geometry:
     labels: tuple | None = None
 
     def __post_init__(self) -> None:
+        # an index must be a plain int: a bool or a float would be read as
+        # another point, or fail later with a bare TypeError
+        if type(self.point_count) is not int:
+            raise GeometryError(f"point count {self.point_count!r} is not an integer")
         if self.point_count < 0:
             raise GeometryError("negative point count")
         seen = set()
         canon = []
         for line in self.lines:
+            for p in line:
+                if type(p) is not int:
+                    raise GeometryError(f"point index {p!r} is not an integer")
             pts = tuple(sorted(set(line)))
             if len(pts) < 2:
                 raise GeometryError(f"line with fewer than 2 points: {line!r}")
@@ -265,6 +272,8 @@ class PlsVerdict(NamedTuple):
 def _check_points(g: Geometry, pts: Iterable[int]) -> list[int]:
     out = []
     for p in pts:
+        if type(p) is not int:
+            raise GeometryError(f"point index {p!r} is not an integer")
         if not 0 <= p < g.point_count:
             raise GeometryError(f"point index {p} out of range")
         out.append(p)
@@ -384,6 +393,8 @@ def convex_closures(
     for seed in seeds:
         bit, p = 1 << count, None
         for p in seed:
+            if type(p) is not int:
+                raise GeometryError(f"point index {p!r} is not an integer")
             if not 0 <= p < n:
                 raise GeometryError(f"point index {p} out of range")
             held[p] |= bit

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .geometry import Geometry, GeometryError
@@ -556,7 +555,6 @@ class _Walker:
             self.aut_order *= sum(orbits.find(u) == root for u in cell)
 
 
-@lru_cache(maxsize=32)
 def canonical_form(g: Geometry) -> CanonicalForm:
     """Canonical certificate of the incidence structure (labels ignored),
     with a relabeling achieving it and the order of the automorphism group."""

@@ -33,9 +33,6 @@ class Edge:
         if len(self.ends) != 2 or not self.ends <= frozenset(range(1, 7)):
             raise ValueError(f"not a 2-subset of 1..6: {set(self.ends)!r}")
 
-    def meets(self, other: "Edge | PrimedEdge") -> bool:
-        return bool(self.ends & other.ends)
-
     def __str__(self) -> str:
         return _blockstr(self.ends)
 
@@ -94,9 +91,6 @@ class OrderedPair:
 
     def __str__(self) -> str:
         return f"({self.first},{self.second})"
-
-
-LabelKind = Edge | PrimedEdge | Pair | Partition | OrderedPair
 
 
 def perp_related(a: frozenset[int], b: frozenset[int]) -> bool:

@@ -87,12 +87,12 @@ def line_distance_profiles(
     points has the profile ``(k,) * m + (k + 1,) * (s - m)``, which for
     unreachable points is ``(UNREACHABLE,) * s``.  Groups come in order of
     their lowest point, so profiles are counted in the order a point scan
-    meets them.  A line index that is not an ``int`` (or is a ``bool``) or
-    lies outside ``0..len(g.lines) - 1`` raises ``GeometryError``.
+    meets them.  A line index that is not a plain ``int`` (a ``bool`` is
+    not) or lies outside ``0..len(g.lines) - 1`` raises ``GeometryError``.
     """
     indices = range(len(g.lines)) if line_indices is None else list(line_indices)
     for li in indices:
-        if not isinstance(li, int) or isinstance(li, bool):
+        if type(li) is not int:
             raise GeometryError(f"line index {li!r} is not an integer")
         if not 0 <= li < len(g.lines):
             raise GeometryError(f"line index {li} out of range")

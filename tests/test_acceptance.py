@@ -8,7 +8,7 @@ instead of asserting either reading.
 
 import pytest
 
-from nearhex.acceptance import acceptance_report, run_acceptance
+from nearhex.acceptance import _criterion, acceptance_report, run_acceptance
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +134,18 @@ def test_report_is_deterministic(results):
     assert dumps(acceptance_report(list(results.values()))) == dumps(
         acceptance_report(again)
     )
+
+
+def test_criterion_decorator_builds_the_result():
+    def body(c, models, census):
+        for i in reversed(range(12)):
+            c.expect(False, f"witness {i:02d}")
+        return {"expectations": 12}
+
+    r = _criterion(11, "twelve failures", 1.0)(body)({}, None)
+    assert (r.criterion, r.title, r.verdict, r.limit) == (11, "twelve failures", "fail", 1.0)
+    assert r.counts == {"expectations": 12}
+    assert r.witnesses == [f"witness {i:02d}" for i in range(2, 12)]
+    assert r.runtime >= 0
+    assert _criterion(11, "no limit", None)(body)({}, None).verdict == "info"
+    assert _criterion(11, "nothing to fail", 1.0)(lambda c, models, census: {})({}, None).verdict == "pass"

@@ -290,3 +290,17 @@ def test_verify_cases_checks_the_pair_counts(monkeypatch, capsys):
     entry = json.loads(out)["checks"][0]
     assert entry["verdict"] == "fail"
     assert entry["counts"]["A1"]["pairs"] == 315
+
+
+def test_report_fails_when_a_model_is_broken(monkeypatch, capsys):
+    from nearhex import Geometry, build_h3
+
+    h3 = build_h3()
+    broken = Geometry(h3.point_count, h3.lines[1:], h3.labels)
+    monkeypatch.setattr("nearhex.acceptance.build_h3_partitions", lambda: broken)
+    code, out, _ = run(capsys, "report")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_pass"] is False
+    assert [c["criterion"] for c in doc["criteria"] if c["verdict"] == "fail"] == [8]
+    assert doc["criteria"][7]["witnesses"]

@@ -40,6 +40,22 @@ def test_geometry_rejects_short_and_out_of_range_lines():
         Geometry(2, ((0, 1),), labels=("a",))
 
 
+@pytest.mark.parametrize(
+    "count, lines",
+    [(3, ((True, 2),)), (3, ((0.0, 1.0),)), (3, ((0, 1), (1, "2"))), (3.0, ()), (True, ())],
+)
+def test_geometry_rejects_indices_that_are_not_integers(count, lines):
+    with pytest.raises(GeometryError, match="is not an integer"):
+        Geometry(count, lines)
+
+
+@pytest.mark.parametrize("points", [[True], [True, 2], [1.0], [2, 1.0]])
+def test_point_arguments_reject_indices_that_are_not_integers(w2, points):
+    for call in (perp, is_subspace, is_geometric_hyperplane, convex_closure, is_gq, induced_geometry):
+        with pytest.raises(GeometryError, match="is not an integer"):
+            call(w2, points)
+
+
 def test_validate_pls_accepts_w2(w2):
     assert validate_pls(w2).ok
 
