@@ -3,7 +3,11 @@ geometries, run exhaustively and timed.
 
 Each criterion is written once, as a body that records its expectations
 and returns its counts; the :func:`_criterion` decorator times it and
-builds its :class:`CriterionResult`.  The ``report`` CLI command and the
+builds its :class:`CriterionResult`.  Where a criterion judges a model
+against ``verify.EXPECTED`` -- its parameters, case analysis, embedded
+hexagon or quad kinds -- it takes the verdict from
+:func:`~nearhex.verify.run_check`, the same judge ``nearhex verify``
+reports, and reshapes its counts.  The ``report`` CLI command and the
 test suite both consume :func:`run_acceptance`.
 """
 
@@ -21,12 +25,7 @@ from .builders import (
     build_h3_partitions,
     debruyn_census,
 )
-from .geometry import (
-    Geometry,
-    collinear,
-    dual_geometry,
-    is_geometric_hyperplane,
-)
+from .geometry import Geometry, collinear, dual_geometry
 from .gq22 import (
     build_w2,
     complete_triad_through,
@@ -35,15 +34,7 @@ from .gq22 import (
     is_gq,
 )
 from .iso import are_isomorphic
-from .verify import (
-    EXPECTED,
-    check_np,
-    dsp_case_analysis,
-    enumerate_quads,
-    h3_case_analysis,
-    line_distance_profiles,
-    parameters,
-)
+from .verify import EXPECTED, Check, line_distance_profiles, run_check
 
 HEX_PROFILES = {(1, 2, 2), (2, 3, 3)}
 
@@ -69,6 +60,15 @@ class _Checker:
             self.ok = False
             if len(self.witnesses) < 10:
                 self.witnesses.append(witness)
+
+    def check(self, check: str, model: str, g: Geometry) -> Check:
+        """Record the verdict of ``run_check(check, model, g)``, each
+        witness prefixed with the model and check names, and return it."""
+        result = run_check(check, model, g)
+        self.ok = self.ok and result.ok
+        for witness in result.witnesses:
+            self.expect(False, f"{model} {check}: {witness}")
+        return result
 
 
 def _criterion(number: int, title: str, limit: float | None):
@@ -138,27 +138,9 @@ def criterion_2(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
 
 
 def _hexagon_counts(c: _Checker, g: Geometry, name: str) -> dict:
-    want = EXPECTED[name]
-    p = parameters(g)
-    c.expect(p.v == want.v, f"v={p.v}")
-    c.expect(p.slim, f"line sizes {sorted(p.line_sizes)}")
-    c.expect(
-        p.lines_per_point == frozenset({want.lines_per_point}),
-        f"lines per point {sorted(p.lines_per_point)}",
-    )
-    c.expect(p.dense, "not dense")
-    c.expect(p.connected and p.diameter == want.diameter, f"diameter {p.diameter}")
-    c.expect(p.t2_values == want.t2, f"t2 values {sorted(p.t2_values)}")
-    c.expect(len(g.lines) == want.lines, f"line count {len(g.lines)}")
-    np = check_np(g)
-    c.expect(np.ok, f"near-polygon axiom fails at {np.witness}")
-    return {
-        "v": p.v,
-        "lines": len(g.lines),
-        "lines_per_point": sorted(p.lines_per_point),
-        "t2_values": sorted(p.t2_values),
-        "diameter": p.diameter,
-    }
+    observed = c.check("params", name, g).counts["observed"]
+    c.check("np", name, g)
+    return {"v": observed.pop("v"), "lines": len(g.lines), **observed}
 
 
 @_criterion(3, "105-point hexagon: v=105, t+1=6, dense, NP, diameter 3, t2 in {1,2}", 5.0)
@@ -171,22 +153,9 @@ def criterion_4(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
     return _hexagon_counts(c, models["dsp62"], "dsp62")
 
 
-def _case_counts(c: _Checker, reports, name: str) -> dict:
-    table = EXPECTED[name].cases
-    counts = {}
-    for r in reports:
-        c.expect(
-            r.ok,
-            f"case {r.case}: {r.pair_count} pairs, expected {table[r.case].pairs}; "
-            f"witnesses {r.witnesses[:3]}",
-        )
-        counts[r.case] = {"pairs": r.pair_count, "observed": r.observed}
-    return counts
-
-
 @_criterion(5, "105-point case analysis: A1/A2 give 2, A3 gives 3, A4 gives distance 3", 5.0)
 def criterion_5(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
-    counts = _case_counts(c, h3_case_analysis(models["h3"]), "h3")
+    counts = c.check("cases", "h3", models["h3"]).counts
     total = sum(case["pairs"] for case in counts.values())
     v = EXPECTED["h3"].v
     c.expect(total == v * (v - 1) // 2, f"partition covers {total} of {v * (v - 1) // 2} pairs")
@@ -198,7 +167,7 @@ def criterion_5(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
 def criterion_6(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     dsp = models["dsp62"]
     hexagon = EXPECTED["dsp62"].hexagon
-    counts = _case_counts(c, dsp_case_analysis(dsp, hexagon), "dsp62")
+    counts = c.check("cases", "dsp62", dsp).counts
     glue = [i for i, line in enumerate(dsp.lines) if any(p not in hexagon for p in line)]
     profiles = line_distance_profiles(dsp)
     glue_profiles = line_distance_profiles(dsp, glue)
@@ -218,9 +187,7 @@ def criterion_6(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
 
 @_criterion(7, "The 105-point hexagon is a geometric hyperplane of the 135-point space", 1.0)
 def criterion_7(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
-    ok = is_geometric_hyperplane(models["dsp62"], EXPECTED["dsp62"].hexagon)
-    c.expect(ok, "embedded 105-point set is not a geometric hyperplane")
-    return {"hyperplane": ok}
+    return {"hyperplane": c.check("hyperplane", "dsp62", models["dsp62"]).ok}
 
 
 @_criterion(8, "Model isomorphisms: three 105-point models agree, 135-point differs", 60.0)
@@ -249,13 +216,8 @@ def criterion_8(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
 def criterion_9(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
     counts = {}
     for name in ("dsp62", "h3"):
-        allowed = EXPECTED[name].quad_kinds
-        kinds = {"grid21": 0, "gq22": 0, "other": 0}
-        for q in enumerate_quads(models[name]):
-            kinds[q.kind] += 1
-            c.expect(q.kind in allowed, f"{name} quad {sorted(q.points)[:4]}...: {q.kind} {q.witness}")
-        c.expect({k for k, n in kinds.items() if n} == allowed, f"{name} quad kinds {kinds}")
-        counts[name] = kinds
+        kinds = c.check("quads", name, models[name]).counts["kinds"]
+        counts[name] = {"grid21": 0, "gq22": 0, "other": 0} | kinds
     return counts
 
 

@@ -20,18 +20,11 @@ from typing import Callable
 
 from .acceptance import acceptance_report, run_acceptance
 from .builders import build_dsp62, build_h3, build_h3_partitions, build_h3_debruyn
-from .geometry import Geometry, GeometryError, is_geometric_hyperplane, validate_pls
+from .geometry import Geometry, GeometryError
 from .gq22 import build_w2
 from .iso import are_isomorphic
 from .jsonio import dumps, geometry_to_document, load_geometry
-from .verify import (
-    EXPECTED,
-    check_np,
-    dsp_case_analysis,
-    enumerate_quads,
-    h3_case_analysis,
-    parameters,
-)
+from .verify import CHECKS, default_checks, run_check
 
 MODELS: dict[str, Callable[[], Geometry]] = {
     "w2": build_w2,
@@ -40,8 +33,6 @@ MODELS: dict[str, Callable[[], Geometry]] = {
     "h3-debruyn": build_h3_debruyn,
     "dsp62": lambda: build_dsp62(build_h3()),
 }
-
-ALL_CHECKS = ("pls", "np", "dense", "params", "quads", "cases", "hyperplane")
 
 
 class UsageError(Exception):
@@ -71,68 +62,15 @@ def _build_model(name: str) -> Geometry:
     return factory()
 
 
-def _entry(check: str, model: str, ok: bool, counts: dict, witnesses: list) -> dict:
+def _entry(check: str, model: str, g: Geometry) -> dict:
+    ok, counts, witnesses = run_check(check, model, g)
     return {
         "check": check,
         "geometry": model,
         "verdict": "pass" if ok else "fail",
         "counts": counts,
-        "witnesses": sorted(str(w) for w in witnesses)[:10],
+        "witnesses": sorted(witnesses)[:10],
     }
-
-
-def _run_check(check: str, model: str, g: Geometry) -> dict:
-    facts = EXPECTED[model]
-    if check == "pls":
-        verdict = validate_pls(g)
-        return _entry(check, model, verdict.ok, {"violations": len(verdict.violations)}, list(verdict.violations))
-    if check == "np":
-        verdict = check_np(g)
-        witnesses = [] if verdict.ok else [verdict.witness]
-        return _entry(check, model, verdict.ok, {}, witnesses)
-    if check == "dense":
-        p = parameters(g)
-        return _entry(check, model, p.dense, {"t2_values": sorted(p.t2_values)}, [])
-    if check == "params":
-        p = parameters(g)
-        got = {
-            "v": p.v,
-            "lines_per_point": sorted(p.lines_per_point),
-            "t2_values": sorted(p.t2_values),
-            "diameter": p.diameter,
-        }
-        want = {
-            "v": facts.v,
-            "lines_per_point": [facts.lines_per_point],
-            "t2_values": sorted(facts.t2),
-            "diameter": facts.diameter,
-        }
-        ok = got == want and p.slim and p.connected and p.dense
-        return _entry(check, model, ok, {"observed": got, "expected": want}, [])
-    if check == "quads":
-        records = enumerate_quads(g)
-        kinds: dict[str, int] = {}
-        for r in records:
-            kinds[r.kind] = kinds.get(r.kind, 0) + 1
-        witnesses = [r.witness for r in records if r.kind == "other"]
-        return _entry(check, model, set(kinds) == facts.quad_kinds, {"kinds": kinds}, witnesses)
-    if check == "cases":
-        if facts.cases is None:
-            raise UsageError(f"check 'cases' needs labelled pair points; model {model!r} has none")
-        if facts.hexagon is None:
-            reports = h3_case_analysis(g)
-        else:
-            reports = dsp_case_analysis(g, facts.hexagon)
-        ok = all(r.ok for r in reports)
-        counts = {r.case: {"pairs": r.pair_count, "observed": r.observed} for r in reports}
-        witnesses = [w for r in reports for w in r.witnesses]
-        return _entry(check, model, ok, counts, witnesses)
-    if check == "hyperplane":
-        if facts.hexagon is None:
-            raise UsageError(f"check 'hyperplane' needs an embedded hexagon; model {model!r} has none")
-        ok = is_geometric_hyperplane(g, facts.hexagon)
-        return _entry(check, model, ok, {}, [])
-    raise UsageError(f"unknown check {check!r}; choose from {', '.join(ALL_CHECKS)}")
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -148,18 +86,18 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _build_model(args.model)
-    if args.checks is None:
-        facts = EXPECTED[args.model]
-        checks = [
-            c for c in ALL_CHECKS
-            if not (c == "cases" and facts.cases is None or c == "hyperplane" and facts.hexagon is None)
-        ]
-    else:
+    checks = None
+    if args.checks is not None:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not checks:
             raise UsageError("empty check list")
-    entries = [_run_check(check, args.model, g) for check in checks]
+        for check in checks:
+            if check not in CHECKS:
+                raise UsageError(f"unknown check {check!r}; choose from {', '.join(CHECKS)}")
+    g = _build_model(args.model)
+    if checks is None:
+        checks = default_checks(args.model)
+    entries = [_entry(check, args.model, g) for check in checks]
     report = {
         "geometry": args.model,
         "verdict": "pass" if all(e["verdict"] == "pass" for e in entries) else "fail",
@@ -221,7 +159,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run selected checks against a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--checks", help=f"comma-separated subset of: {','.join(ALL_CHECKS)}")
+    p.add_argument("--checks", help=f"comma-separated subset of: {','.join(CHECKS)}")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -281,6 +281,7 @@ def _check_points(g: Geometry, pts: Iterable[int]) -> list[int]:
 
 
 def collinear(g: Geometry, x: int, y: int) -> bool:
+    x, y = _check_points(g, (x, y))
     return x != y and bool(g.adjacency[x] >> y & 1)
 
 

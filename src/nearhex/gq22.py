@@ -219,7 +219,7 @@ def incomplete_triad_subgq(g: Geometry, triad: Triad) -> frozenset[int]:
 
 def complete_triad_through(g: Geometry, x: int, y: int) -> Triad:
     """The unique complete triad containing a non-collinear pair."""
-    if x == y or collinear(g, x, y):
+    if collinear(g, x, y) or x == y:
         raise GeometryError(f"points {x} and {y} are not a non-collinear pair")
     adj = g.adjacency
     found = []

@@ -23,8 +23,10 @@ def _blockstr(block: frozenset[int]) -> str:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """A 2-subset of the 6-element ground set."""
+class _EdgeKind:
+    """An edge of either copy of the ground set.  :class:`Edge` and
+    :class:`PrimedEdge` both derive from it and neither from the other, so
+    ``isinstance`` tells them apart."""
 
     ends: frozenset[int]
 
@@ -32,21 +34,17 @@ class Edge:
         object.__setattr__(self, "ends", frozenset(self.ends))
         if len(self.ends) != 2 or not self.ends <= frozenset(range(1, 7)):
             raise ValueError(f"not a 2-subset of 1..6: {set(self.ends)!r}")
+
+
+class Edge(_EdgeKind):
+    """A 2-subset of the 6-element ground set."""
 
     def __str__(self) -> str:
         return _blockstr(self.ends)
 
 
-@dataclass(frozen=True)
-class PrimedEdge:
+class PrimedEdge(_EdgeKind):
     """An edge of the second (primed) copy of the ground set."""
-
-    ends: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ends", frozenset(self.ends))
-        if len(self.ends) != 2 or not self.ends <= frozenset(range(1, 7)):
-            raise ValueError(f"not a 2-subset of 1..6: {set(self.ends)!r}")
 
     def __str__(self) -> str:
         return _blockstr(self.ends) + "'"

@@ -1,7 +1,8 @@
 """Near-polygon verification: axioms, parameters, quads and the exhaustive
 case analyses for the two constructed hexagons, plus ``EXPECTED``, the one
-table of facts each model must show, which ``nearhex verify`` and the
-acceptance suite both read.
+table of facts each model must show, and :func:`run_check`, the one judge
+of a model against it, whose verdicts ``nearhex verify`` and the
+acceptance suite both report.
 
 Pair classification in the case analyses reads point labels only: each
 point gets one row of bitmasks over the points after it, one mask per case,
@@ -13,7 +14,7 @@ both case analyses, driven by the model's case table.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -24,8 +25,10 @@ from .geometry import (
     NpVerdict,
     bits_of,
     convex_closures,
+    is_geometric_hyperplane,
     mask_of,
     metrics,
+    validate_pls,
 )
 from .gq22 import GqVerdict, _gq_axioms
 from .labels import Edge, Pair, PrimedEdge, perp_related
@@ -196,7 +199,7 @@ class Case(NamedTuple):
 
 
 class ModelFacts(NamedTuple):
-    """What ``nearhex verify`` and the acceptance suite expect of a model."""
+    """What a model must show; :func:`run_check` judges the model by them."""
 
     v: int
     lines: int
@@ -413,3 +416,92 @@ def dsp_case_analysis(g: Geometry, h3_points: Iterable[int]) -> list[CaseReport]
     if frozenset(h3_points) != pair_points:
         raise GeometryError("h3_points does not match the Pair-labelled points")
     return _case_scan(g, rows, EXPECTED["dsp62"].cases)
+
+
+class Check(NamedTuple):
+    """The verdict of one of ``CHECKS`` on a model: pass or fail, what it
+    counted, and witnesses naming the failure, at least one when it fails."""
+
+    ok: bool
+    counts: dict
+    witnesses: list[str]
+
+
+CHECKS = ("pls", "np", "dense", "params", "quads", "cases", "hyperplane")
+
+
+def default_checks(model: str) -> tuple[str, ...]:
+    """The checks that apply to a model: all of ``CHECKS``, less "cases"
+    without a case table and "hyperplane" without an embedded hexagon."""
+    facts = EXPECTED[model]
+    return tuple(
+        c for c in CHECKS
+        if not (c == "cases" and facts.cases is None or c == "hyperplane" and facts.hexagon is None)
+    )
+
+
+def run_check(check: str, model: str, g: Geometry) -> Check:
+    """Judge ``g`` by one of ``CHECKS`` against ``EXPECTED[model]``.
+
+    A check that is unknown, or that does not apply to the model (see
+    :func:`default_checks`), raises ``GeometryError``.
+    """
+    facts = EXPECTED[model]
+    if check == "pls":
+        pls = validate_pls(g)
+        return Check(pls.ok, {"violations": len(pls.violations)}, [str(v) for v in pls.violations])
+    if check == "np":
+        np = check_np(g)
+        return Check(np.ok, {}, [] if np.ok else [f"near-polygon axiom fails at {np.witness}"])
+    if check == "dense":
+        p = parameters(g)
+        return Check(p.dense, {"t2_values": sorted(p.t2_values)}, [] if p.dense else ["not dense"])
+    if check == "params":
+        p = parameters(g)
+        got = {
+            "v": p.v,
+            "lines_per_point": sorted(p.lines_per_point),
+            "t2_values": sorted(p.t2_values),
+            "diameter": p.diameter,
+        }
+        want = {
+            "v": facts.v,
+            "lines_per_point": [facts.lines_per_point],
+            "t2_values": sorted(facts.t2),
+            "diameter": facts.diameter,
+        }
+        witnesses = [f"{key} {got[key]}, expected {want[key]}" for key in got if got[key] != want[key]]
+        witnesses += [w for ok, w in (
+            (len(g.lines) == facts.lines, f"line count {len(g.lines)}, expected {facts.lines}"),
+            (p.slim, f"line sizes {sorted(p.line_sizes)}"),
+            (p.dense, "not dense"),
+            (p.connected, "disconnected"),
+        ) if not ok]
+        return Check(not witnesses, {"observed": got, "expected": want}, witnesses)
+    if check == "quads":
+        records = enumerate_quads(g)
+        kinds = dict(Counter(r.kind for r in records))
+        witnesses = [f"quad {sorted(r.points)[:4]}...: {r.witness}" for r in records if r.kind == "other"]
+        ok = set(kinds) == facts.quad_kinds
+        if not ok:
+            witnesses.append(f"quad kinds {sorted(kinds)}, expected {sorted(facts.quad_kinds)}")
+        return Check(ok, {"kinds": kinds}, witnesses)
+    if check == "cases":
+        if facts.cases is None:
+            raise GeometryError(f"check 'cases' needs labelled pair points; model {model!r} has none")
+        reports = h3_case_analysis(g) if facts.hexagon is None else dsp_case_analysis(g, facts.hexagon)
+        counts = {r.case: {"pairs": r.pair_count, "observed": r.observed} for r in reports}
+        witnesses = [
+            f"case {r.case}: {r.pair_count} pairs, expected {facts.cases[r.case].pairs}"
+            for r in reports
+            if r.pair_count != facts.cases[r.case].pairs
+        ]
+        witnesses += [w for r in reports for w in r.witnesses]
+        return Check(all(r.ok for r in reports), counts, witnesses)
+    if check == "hyperplane":
+        if facts.hexagon is None:
+            raise GeometryError(f"check 'hyperplane' needs an embedded hexagon; model {model!r} has none")
+        ok = is_geometric_hyperplane(g, facts.hexagon)
+        witness = f"embedded {len(facts.hexagon)}-point set is not a geometric hyperplane"
+        return Check(ok, {}, [] if ok else [witness])
+    raise GeometryError(f"unknown check {check!r}; choose from {', '.join(CHECKS)}")

@@ -304,3 +304,27 @@ def test_report_fails_when_a_model_is_broken(monkeypatch, capsys):
     assert doc["all_pass"] is False
     assert [c["criterion"] for c in doc["criteria"] if c["verdict"] == "fail"] == [8]
     assert doc["criteria"][7]["witnesses"]
+
+
+def test_verify_rejects_unknown_checks_before_building(monkeypatch, capsys):
+    from nearhex.cli import MODELS
+
+    monkeypatch.setitem(MODELS, "dsp62", lambda: pytest.fail("the model was built"))
+    code, out, err = run(capsys, "verify", "--model", "dsp62", "--checks", "params,bogus")
+    assert (code, out) == (2, "")
+    assert "unknown check 'bogus'" in err
+
+
+def test_verify_and_report_share_one_judge(monkeypatch, capsys):
+    from nearhex.verify import EXPECTED
+
+    facts = EXPECTED["dsp62"]
+    monkeypatch.setitem(EXPECTED, "dsp62", facts._replace(quad_kinds=frozenset({"grid21", "gq22"})))
+    witness = "quad kinds ['gq22'], expected ['gq22', 'grid21']"
+    code, out, _ = run(capsys, "verify", "--model", "dsp62", "--checks", "quads")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["witnesses"] == [witness]
+    code, out, _ = run(capsys, "report")
+    assert code == 1
+    failed = [c for c in json.loads(out)["criteria"] if c["verdict"] == "fail"]
+    assert [(c["criterion"], c["witnesses"]) for c in failed] == [(9, [f"dsp62 quads: {witness}"])]

@@ -17,8 +17,8 @@ from nearhex import (
     perp,
     validate_pls,
 )
-from nearhex.geometry import bits_of
-from nearhex.gq22 import EDGE_INDEX
+from nearhex.geometry import bits_of, collinear
+from nearhex.gq22 import EDGE_INDEX, complete_triad_through
 
 E = {
     name: EDGE_INDEX[frozenset(int(c) for c in name)]
@@ -49,11 +49,17 @@ def test_geometry_rejects_indices_that_are_not_integers(count, lines):
         Geometry(count, lines)
 
 
-@pytest.mark.parametrize("points", [[True], [True, 2], [1.0], [2, 1.0]])
+@pytest.mark.parametrize("points", [[True], [True, 2], [1.0], [2, 1.0], [1, 99], [-1, 3]])
 def test_point_arguments_reject_indices_that_are_not_integers(w2, points):
+    """Functions of a point set take ``points``; those of a point pair take
+    its first and last entry."""
+    error = "out of range" if all(type(p) is int for p in points) else "is not an integer"
     for call in (perp, is_subspace, is_geometric_hyperplane, convex_closure, is_gq, induced_geometry):
-        with pytest.raises(GeometryError, match="is not an integer"):
+        with pytest.raises(GeometryError, match=error):
             call(w2, points)
+    for call in (collinear, complete_triad_through):
+        with pytest.raises(GeometryError, match=error):
+            call(w2, points[0], points[-1])
 
 
 def test_validate_pls_accepts_w2(w2):

@@ -9,10 +9,11 @@ from nearhex.labels import perp_related
 def test_edge_rendering_and_validation():
     assert str(Edge({2, 1})) == "12"
     assert str(PrimedEdge({3, 4})) == "34'"
-    with pytest.raises(ValueError):
-        Edge({1})
-    with pytest.raises(ValueError):
-        Edge({1, 7})
+    for kind in (Edge, PrimedEdge):
+        for ends in ({1}, {1, 7}, {0, 1}, {1, 2, 3}):
+            with pytest.raises(ValueError, match="not a 2-subset of 1..6"):
+                kind(ends)
+    assert not isinstance(PrimedEdge({1, 2}), Edge)
 
 
 def test_pair_rendering():

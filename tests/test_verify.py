@@ -31,7 +31,7 @@ from nearhex import (
 )
 from nearhex.geometry import convex_closures
 from nearhex.iso import relabel
-from nearhex.verify import QuadRecord, _classify_quad
+from nearhex.verify import CHECKS, EXPECTED, QuadRecord, _classify_quad, default_checks, run_check
 
 from strategies import lifted_witness, small_geometries
 
@@ -388,8 +388,6 @@ def test_dsp_case_analysis_checks_h3_points(dsp):
 def test_case_reports_state_the_value_checked(h3, dsp):
     """Each report names the measure and the value its scan requires, the
     scan observed exactly that value, and reports come in table order."""
-    from nearhex.verify import EXPECTED
-
     for name, reports in (
         ("h3", h3_case_analysis(h3)),
         ("dsp62", dsp_case_analysis(dsp, range(105))),
@@ -405,10 +403,69 @@ def test_case_reports_state_the_value_checked(h3, dsp):
 
 def test_expected_facts_cover_the_cli_models():
     from nearhex.cli import MODELS
-    from nearhex.verify import EXPECTED
 
     assert list(EXPECTED) == list(MODELS)
     for facts in EXPECTED.values():
         if facts.cases is not None:
             assert sum(c.pairs for c in facts.cases.values()) == facts.v * (facts.v - 1) // 2
         assert facts.lines * 3 == facts.v * facts.lines_per_point
+
+
+def _with_line_through_two_collinear_points(g: Geometry) -> Geometry:
+    a, b, _ = g.lines[0]
+    z = next(p for p in range(g.point_count) if p not in g.lines[0])
+    return Geometry(g.point_count, g.lines + ((a, b, z),), g.labels)
+
+
+def test_every_check_fails_on_a_mutant(w2, h3, dsp):
+    """For each of CHECKS, a model broken for it fails, with a witness that
+    names the failure: an extra line through two collinear points of W(2),
+    a line deleted from h3, h3 judged as dsp62, and dsp62 with its first and
+    last point swapped, so that points 0..104 are no longer the hexagon."""
+    plus_line = _with_line_through_two_collinear_points(w2)
+    a, b, _ = w2.lines[0]
+    less_line = Geometry(h3.point_count, h3.lines[1:], h3.labels)
+    swapped = relabel(dsp, [134, *range(1, 134), 0])
+    mutants = {
+        "pls": ("w2", plus_line, f"(({a}, {b}), 0, "),
+        "np": ("w2", plus_line, "near-polygon axiom fails at ("),
+        "dense": ("h3", less_line, "not dense"),
+        "params": ("h3", less_line, "line count 209"),
+        "quads": ("dsp62", h3, "quad kinds ['gq22', 'grid21'], expected ['gq22']"),
+        "cases": ("h3", less_line, "(("),
+        "hyperplane": ("dsp62", swapped, "embedded 105-point set is not a geometric hyperplane"),
+    }
+    assert tuple(mutants) == CHECKS
+    for check, (model, g, witness) in mutants.items():
+        ok, counts, witnesses = run_check(check, model, g)
+        assert not ok, check
+        assert any(w.startswith(witness) for w in witnesses), (check, witnesses)
+    assert run_check("pls", "w2", plus_line).counts == {"violations": 1}
+    assert 0 in run_check("dense", "h3", less_line).counts["t2_values"]
+
+
+def test_failing_checks_name_each_unmet_expectation(monkeypatch, w2, h3):
+    """The paths a mutant above does not reach: a quad of another order, a
+    line count that alone differs from the model's, and a case whose pair
+    count alone does."""
+    k33 = Geometry(6, tuple((a, b) for a in range(3) for b in range(3, 6)))
+    ok, counts, witnesses = run_check("quads", "w2", k33)
+    assert not ok and counts == {"kinds": {"other": 1}}
+    assert witnesses == [
+        "quad [0, 1, 2, 3]...: generalized quadrangle of order (1, 2)",
+        "quad kinds ['other'], expected ['gq22']",
+    ]
+    monkeypatch.setitem(EXPECTED, "w2", EXPECTED["w2"]._replace(lines=16))
+    assert run_check("params", "w2", w2)[::2] == (False, ["line count 15, expected 16"])
+    table = EXPECTED["h3"].cases
+    monkeypatch.setitem(table, "A1", table["A1"]._replace(pairs=314))
+    assert run_check("cases", "h3", h3)[::2] == (False, ["case A1: 315 pairs, expected 314"])
+
+
+def test_run_check_rejects_checks_that_do_not_apply(w2, h3):
+    assert default_checks("w2") == ("pls", "np", "dense", "params", "quads")
+    assert default_checks("h3") == ("pls", "np", "dense", "params", "quads", "cases")
+    assert default_checks("dsp62") == CHECKS
+    for check, model, g in (("cases", "w2", w2), ("hyperplane", "h3", h3), ("bogus", "w2", w2)):
+        with pytest.raises(GeometryError, match=repr(check)):
+            run_check(check, model, g)
