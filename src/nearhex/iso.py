@@ -33,14 +33,16 @@ automorphism group comes out as the product of the orbit lengths along
 that path.
 
 :func:`canonical_form` keeps the least certificate, with a relabeling
-achieving it and that group order.  :func:`are_isomorphic` first rejects
-on cheap invariants.  It then walks the first graph's first path once,
-recording the refinement trace at every level (splitter, cell, and the
-count and size of each fragment), and walks the second graph's tree
-guided by it: each child must replay the trace of its depth and is
-dropped at its first entry that differs.  The walk stops at the first
-leaf whose point bijection carries the first graph's lines onto the
-second's; running out of tree proves that there is none.
+achieving it and that group order.  :func:`are_isomorphic_to` compares
+one reference geometry with several others.  It first rejects each on
+cheap invariants.  For those that pass, it walks the reference's first
+path once, recording the refinement trace at every level (splitter, cell,
+and the count and size of each fragment), and walks each one's tree
+guided by that one guide: each child must replay the trace of its depth
+and is dropped at its first entry that differs.  A walk stops at the
+first leaf whose point bijection carries the reference's lines onto its
+geometry's; running out of tree proves that there is none.
+:func:`are_isomorphic` is its one-target form.
 """
 
 from __future__ import annotations
@@ -591,14 +593,35 @@ def _invariant_mismatch(g1: Geometry, g2: Geometry) -> str | None:
     return None
 
 
+def are_isomorphic_to(reference: Geometry, others: Sequence[Geometry]) -> list[IsoVerdict]:
+    """Decide isomorphism of ``reference`` with each of ``others``: one
+    verdict per geometry, in order, each with a verified bijection from
+    ``reference``'s points or the invariant that separates the two.
+
+    ``reference``'s first path is walked once, and only if some geometry
+    passes the cheap invariants; each that does gets one walk guided by it.
+    """
+    guide = None
+    verdicts = []
+    for g in others:
+        reason = _invariant_mismatch(reference, g)
+        if reason is not None:
+            verdicts.append(IsoVerdict(False, None, reason))
+            continue
+        if guide is None:
+            guide = _guide(reference)
+        walker = _Walker(g, guide)
+        walker.run()
+        if walker.mapping is None:
+            verdict = IsoVerdict(False, None, "refinement search exhausted: no line-preserving bijection")
+        else:
+            verdict = IsoVerdict(True, walker.mapping, "explicit bijection found by refinement search")
+        verdicts.append(verdict)
+    return verdicts
+
+
 def are_isomorphic(g1: Geometry, g2: Geometry) -> IsoVerdict:
     """Decide isomorphism, returning a verified point bijection or the
-    invariant that separates the two geometries."""
-    reason = _invariant_mismatch(g1, g2)
-    if reason is not None:
-        return IsoVerdict(False, None, reason)
-    walker = _Walker(g2, _guide(g1))
-    walker.run()
-    if walker.mapping is None:
-        return IsoVerdict(False, None, "refinement search exhausted: no line-preserving bijection")
-    return IsoVerdict(True, walker.mapping, "explicit bijection found by refinement search")
+    invariant that separates the two geometries: the one-target form of
+    :func:`are_isomorphic_to`."""
+    return are_isomorphic_to(g1, [g2])[0]

@@ -430,10 +430,16 @@ class Check(NamedTuple):
 CHECKS = ("pls", "np", "dense", "params", "quads", "cases", "hyperplane")
 
 
+def _facts(model: str) -> ModelFacts:
+    if model not in EXPECTED:
+        raise GeometryError(f"unknown model {model!r}; choose from {', '.join(EXPECTED)}")
+    return EXPECTED[model]
+
+
 def default_checks(model: str) -> tuple[str, ...]:
     """The checks that apply to a model: all of ``CHECKS``, less "cases"
     without a case table and "hyperplane" without an embedded hexagon."""
-    facts = EXPECTED[model]
+    facts = _facts(model)
     return tuple(
         c for c in CHECKS
         if not (c == "cases" and facts.cases is None or c == "hyperplane" and facts.hexagon is None)
@@ -443,10 +449,11 @@ def default_checks(model: str) -> tuple[str, ...]:
 def run_check(check: str, model: str, g: Geometry) -> Check:
     """Judge ``g`` by one of ``CHECKS`` against ``EXPECTED[model]``.
 
-    A check that is unknown, or that does not apply to the model (see
-    :func:`default_checks`), raises ``GeometryError``.
+    A model not in ``EXPECTED``, or a check that is unknown or does not
+    apply to the model (see :func:`default_checks`), raises
+    ``GeometryError``.
     """
-    facts = EXPECTED[model]
+    facts = _facts(model)
     if check == "pls":
         pls = validate_pls(g)
         return Check(pls.ok, {"violations": len(pls.violations)}, [str(v) for v in pls.violations])

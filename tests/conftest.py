@@ -47,3 +47,19 @@ def grid33():
     rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
     cols = [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
     return Geometry(9, tuple(rows + cols))
+
+
+@pytest.fixture
+def guides(monkeypatch):
+    """Counts the first paths walked, by wrapping ``nearhex.iso._guide``."""
+    import nearhex.iso
+
+    calls = []
+    original = nearhex.iso._guide
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(nearhex.iso, "_guide", counting)
+    return calls

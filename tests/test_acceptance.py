@@ -6,9 +6,20 @@ escort triads of the flag model's swap lines are complete or incomplete
 instead of asserting either reading.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from nearhex.acceptance import _criterion, acceptance_report, run_acceptance
+from nearhex.acceptance import _criterion, acceptance_report, criterion_8, run_acceptance
+from nearhex.iso import are_isomorphic_to
+
+
+CRITERION_8_COUNTS = {
+    "h3~h3-partition": True,
+    "h3~h3-debruyn": True,
+    "h3-partition~h3-debruyn": True,
+    "h3~dsp62": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +105,42 @@ def test_criterion_07_hyperplane(results):
 def test_criterion_08_model_isomorphisms(results):
     r = results[8]
     _check(r)
-    assert r.counts["h3~h3-partition"] is True
-    assert r.counts["h3~h3-debruyn"] is True
-    assert r.counts["h3-partition~h3-debruyn"] is True
-    assert r.counts["h3~dsp62"] is False
+    assert r.counts == CRITERION_8_COUNTS
+
+
+@pytest.fixture
+def hexagon_models(h3, h3_partitions, h3_debruyn, dsp):
+    return {"h3": h3, "h3-partition": h3_partitions, "h3-debruyn": h3_debruyn, "dsp62": dsp}
+
+
+def test_criterion_08_walks_h3s_first_path_once(guides, hexagon_models, h3):
+    r = criterion_8(hexagon_models, None)
+    assert r.verdict == "pass"
+    assert r.counts == CRITERION_8_COUNTS
+    assert guides == [h3]
+
+
+def test_criterion_08_checks_the_composed_bijection(monkeypatch, hexagon_models):
+    """A bijection out of h3 that does not carry lines fails its own pair
+    and the third pair composed from it, though every verdict says
+    isomorphic."""
+    from nearhex import acceptance
+
+    def swapping(reference, others):
+        verdicts = are_isomorphic_to(reference, others)
+        swapped = list(verdicts[1].mapping)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        verdicts[1] = replace(verdicts[1], mapping=tuple(swapped))
+        return verdicts
+
+    monkeypatch.setattr(acceptance, "are_isomorphic_to", swapping)
+    r = criterion_8(hexagon_models, None)
+    assert r.verdict == "fail"
+    assert r.counts == CRITERION_8_COUNTS
+    assert r.witnesses == [
+        "h3-partition~h3-debruyn: returned bijection does not carry lines",
+        "h3~h3-debruyn: returned bijection does not carry lines",
+    ]
 
 
 def test_criterion_09_quad_census(results):

@@ -303,7 +303,14 @@ def test_report_fails_when_a_model_is_broken(monkeypatch, capsys):
     doc = json.loads(out)
     assert doc["all_pass"] is False
     assert [c["criterion"] for c in doc["criteria"] if c["verdict"] == "fail"] == [8]
-    assert doc["criteria"][7]["witnesses"]
+    # the broken model is not isomorphic to h3, so its pair with h3-debruyn
+    # is searched directly instead of composed
+    criterion = doc["criteria"][7]
+    assert criterion["witnesses"] == [
+        "h3-partition~h3-debruyn: line counts differ: 209 vs 210",
+        "h3~h3-partition: line counts differ: 210 vs 209",
+    ]
+    assert criterion["counts"]["h3~h3-debruyn"] is True
 
 
 def test_verify_rejects_unknown_checks_before_building(monkeypatch, capsys):
@@ -328,3 +335,17 @@ def test_verify_and_report_share_one_judge(monkeypatch, capsys):
     assert code == 1
     failed = [c for c in json.loads(out)["criteria"] if c["verdict"] == "fail"]
     assert [(c["criterion"], c["witnesses"]) for c in failed] == [(9, [f"dsp62 quads: {witness}"])]
+
+
+def test_report_judges_w2_against_its_expected_facts(monkeypatch, capsys):
+    from nearhex.verify import EXPECTED
+
+    monkeypatch.setitem(EXPECTED, "w2", EXPECTED["w2"]._replace(diameter=3))
+    witness = "diameter 2, expected 3"
+    code, out, _ = run(capsys, "verify", "--model", "w2", "--checks", "params")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["witnesses"] == [witness]
+    code, out, _ = run(capsys, "report")
+    assert code == 1
+    failed = [c for c in json.loads(out)["criteria"] if c["verdict"] == "fail"]
+    assert [(c["criterion"], c["witnesses"]) for c in failed] == [(1, [f"w2 params: {witness}"])]

@@ -32,6 +32,7 @@ from nearhex import (
     Geometry,
     GeometryError,
     are_isomorphic,
+    are_isomorphic_to,
     canonical_form,
     dual_geometry,
     relabel,
@@ -117,10 +118,37 @@ def test_are_isomorphic_w2_dual(w2):
 
 
 def test_three_hexagon_models_agree(h3, h3_partitions, h3_debruyn):
-    for other in (h3_partitions, h3_debruyn):
-        verdict = are_isomorphic(h3, other)
+    for a, b in combinations((h3, h3_partitions, h3_debruyn), 2):
+        verdict = are_isomorphic(a, b)
         assert verdict.isomorphic
-        assert_mapping_valid(h3, other, verdict.mapping)
+        assert_mapping_valid(a, b, verdict.mapping)
+
+
+def test_are_isomorphic_to_walks_one_guide_for_many_targets(guides, h3, h3_partitions, h3_debruyn, dsp):
+    """One reference against a mixed list gives, geometry by geometry, the
+    verdict of its own pairwise search, from one walk of the reference's
+    first path, and none when no geometry passes the cheap invariants."""
+    perm = list(range(105))
+    random.Random(105).shuffle(perm)
+    line_deleted = Geometry(105, h3.lines[1:], h3.labels)
+    shuffled_sts = relabel(cyclic_sts13(), [(5 * p + 2) % 13 for p in range(13)])
+    for reference, others, expected in (
+        (h3, [relabel(h3, perm), h3_partitions, h3_debruyn, dsp, line_deleted], [True, True, True, False, False]),
+        (cyclic_sts13(), [_switched_sts13(), shuffled_sts], [False, True]),
+    ):
+        guides.clear()
+        verdicts = are_isomorphic_to(reference, others)
+        assert len(guides) == 1
+        assert [v.isomorphic for v in verdicts] == expected
+        for g, verdict in zip(others, verdicts):
+            assert verdict == are_isomorphic(reference, g)
+            if verdict.isomorphic:
+                assert_mapping_valid(reference, g, verdict.mapping)
+    guides.clear()
+    verdicts = are_isomorphic_to(h3, [dsp, line_deleted])
+    assert [v.detail for v in verdicts] == ["point counts differ: 105 vs 135", "line counts differ: 210 vs 209"]
+    assert are_isomorphic_to(h3, []) == []
+    assert guides == []
 
 
 def test_hexagon_vs_dsp(h3, dsp):

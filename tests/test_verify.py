@@ -469,3 +469,8 @@ def test_run_check_rejects_checks_that_do_not_apply(w2, h3):
     for check, model, g in (("cases", "w2", w2), ("hyperplane", "h3", h3), ("bogus", "w2", w2)):
         with pytest.raises(GeometryError, match=repr(check)):
             run_check(check, model, g)
+    unknown = "unknown model 'bogus'; choose from w2, h3, h3-partition, h3-debruyn, dsp62"
+    with pytest.raises(GeometryError, match=unknown):
+        run_check("pls", "bogus", w2)
+    with pytest.raises(GeometryError, match=unknown):
+        default_checks("bogus")
