@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 UNREACHABLE = -1
 
@@ -177,11 +177,17 @@ class Geometry:
         One level pass per line: at level ``k`` each line point's sphere
         ``S_k``, minus the points already reached, is added into bit-sliced
         count planes (bit ``i`` of a point's count is its bit in
-        ``planes[i]``), so lines of any size count exactly.
+        ``planes[i]``), so lines of any size count exactly.  The passes run
+        line by line in :meth:`_walk_line_levels`, so that ``np_verdict``
+        can stop at the first failing line; a passing ``np_verdict`` stores
+        this whole census on its way.
         """
+        return tuple(self._walk_line_levels())
+
+    def _walk_line_levels(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
+        """The groups of each line of ``line_levels``, one line at a time."""
         spheres = self.distance_spheres
         full = self.full_mask
-        census = []
         for line, seen in zip(self.lines, self.line_masks):
             line_spheres = [spheres[p] for p in line]
             groups = []
@@ -215,8 +221,7 @@ class Geometry:
             if seen != full:
                 groups.append((UNREACHABLE, len(line), full & ~seen))
             groups.sort(key=lambda group: group[2] & -group[2])
-            census.append(tuple(groups))
-        return tuple(census)
+            yield tuple(groups)
 
     @cached_property
     def np_verdict(self) -> NpVerdict:
@@ -226,14 +231,22 @@ class Geometry:
 
         Read off ``line_levels``: a line fails when it reaches some point
         through two or more of its points at once.  The witness is the
-        lowest such point on the lowest-indexed failing line.
+        lowest such point on the lowest-indexed failing line.  When the
+        census is not built yet, its lines are walked in order and the walk
+        stops at the first failing line; a geometry that passes keeps the
+        whole census as ``line_levels``.
         """
         if not metrics(self).connected:
             raise GeometryError("near-polygon check requires a connected geometry")
-        for li, groups in enumerate(self.line_levels):
+        levels = vars(self).get("line_levels")
+        walked = []
+        for li, groups in enumerate(self._walk_line_levels() if levels is None else levels):
             bad = sum(mask for _, m, mask in groups if m >= 2)  # groups are disjoint
             if bad:
                 return NpVerdict(False, ((bad & -bad).bit_length() - 1, li))
+            walked.append(groups)
+        if levels is None:
+            vars(self)["line_levels"] = tuple(walked)
         return NpVerdict(True, None)
 
     @cached_property
@@ -353,40 +366,11 @@ def convex_closures(
 ) -> list[frozenset[int]]:
     """Smallest convex subspace containing each seed, all seeds at once.
 
-    The closures are bit-sliced: ``held[p]`` is a bitmask over the seeds
-    whose bit ``j`` is set once point ``p`` is known to lie in the closure
-    of ``seeds[j]``.  A closure must hold every line with two of its points
-    -- every such line, so that each result is a subspace even when two
-    points share several lines -- and the interval of each pair ``a, b``
-    at distance ``d >= 2``, the union of ``S_k(a) & S_{d-k}(b)`` over
-    ``0 < k < d`` (for ``d = 2`` the common neighbours).  Line completion
-    is required: closing under geodesics alone stalls on sets (4-cycles and
-    the like) that are metrically convex but carry no full line, and those
-    are useless for quad classification.  Every bit follows its own seed
-    alone, so each result is exactly that seed's closure.  Seeds with equal
-    closures share one frozenset: a sweep reads each distinct closure once
-    off the masks and gives it to the seeds held by all its points whose
-    closures have as many points, counted for every seed at once on
-    bit-sliced planes.
-
-    Lines and distance 2 are gathered point by point: a point ``z`` joins
-    the seeds that hold two neighbours ``a, b`` of ``z`` lying on one line
-    with ``z`` or not collinear with each other.  Where ``z``'s
-    neighbourhood is clean -- its lines minus ``z``, with no point on two
-    of them and no edge between two of them, as at every point of a near
-    polygon -- that is every pair of its neighbours, so ``z`` takes the
-    seeds holding two of them by one once/twice OR pass; any other point
-    walks the list of its neighbour pairs that force it.  A point gathers
-    again only when a neighbour has grown, until none grows.  Pairs at
-    distance ``>= 3`` are then checked once per distinct closure, off a
-    per-point mask of the points at distance ``>= 3``; an interval that
-    adds points sends them back to the gather, and the call ends when the
-    far pairs add nothing.  On a 2-core Xeon whose speed drifts by up to
-    40%, one call closes the 3,780 qualifying pairs of the 135-point model
-    in 5.8 to 8.8 ms and the 2,310 of the 105-point model in 3.5 to 5.2 ms
-    (quartiles over three runs of 25 relabelings each), and a call with one
-    distance-2 pair takes 0.4 to 0.9 ms, most of it spent listing
-    neighbours and finding the clean points.
+    Seeds are checked point by point, and a seed that is empty or names a
+    point that is not a plain ``int`` in range raises ``GeometryError``.
+    Seed ``j`` becomes bit ``j`` of the mask of each of its points, and
+    :func:`_closure_groups` closes them all in one pass.  Seeds with equal
+    closures share one frozenset.
     """
     n = g.point_count
     held = [0] * n
@@ -402,6 +386,52 @@ def convex_closures(
         if p is None:
             raise GeometryError("closure of an empty set is undefined")
         count += 1
+    closures: list = [None] * count
+    for members, _, same in _closure_groups(g, held):
+        closure = frozenset(members)
+        for j in bits_of(same):
+            closures[j] = closure
+    return closures
+
+
+def _closure_groups(g: Geometry, held: list[int]) -> list[tuple[list[int], int, int]]:
+    """The closures of many seeds in one pass, each distinct closure once,
+    as ``(members, mask, seeds)``: its points in increasing order, their
+    bitmask, and the bitmask of the seeds whose closure it is.  The groups
+    come in order of their lowest seed.
+
+    ``held[p]`` is a bitmask over the seeds, whose bit ``j`` is set when
+    point ``p`` lies in seed ``j``; every seed must hold a point.  The pass
+    grows ``held`` in place until bit ``j`` marks the closure of seed ``j``,
+    so each closure is bit-sliced over the points.  A closure must hold
+    every line with two of its points -- every such line, so that each
+    result is a subspace even when two points share several lines -- and
+    the interval of each pair ``a, b`` at distance ``d >= 2``, the union of
+    ``S_k(a) & S_{d-k}(b)`` over ``0 < k < d`` (for ``d = 2`` the common
+    neighbours).  Line completion is required: closing under geodesics
+    alone stalls on sets (4-cycles and the like) that are metrically convex
+    but carry no full line, and those are useless for quad classification.
+    Every bit follows its own seed alone, so each result is exactly that
+    seed's closure.
+
+    Lines and distance 2 are gathered point by point: a point ``z`` joins
+    the seeds that hold two neighbours ``a, b`` of ``z`` lying on one line
+    with ``z`` or not collinear with each other.  Where ``z``'s
+    neighbourhood is clean -- its lines minus ``z``, with no point on two
+    of them and no edge between two of them, as at every point of a near
+    polygon -- that is every pair of its neighbours, so ``z`` takes the
+    seeds holding two of them by one once/twice OR pass; any other point
+    walks the list of its neighbour pairs that force it.  A point gathers
+    again only when a neighbour has grown, until none grows.  A sweep then
+    reads each distinct closure once off the masks, starting from its
+    lowest seed not yet placed, and gives it the seeds held by all its
+    points whose closures have as many points, counted for every seed at
+    once on bit-sliced planes.  Pairs at distance ``>= 3`` are checked once
+    per distinct closure, off a per-point mask of the points at distance
+    ``>= 3``; an interval that adds points sends them back to the gather,
+    and the pass ends when the far pairs add nothing.
+    """
+    n = g.point_count
     adj, lines, line_masks, through = g.adjacency, g.lines, g.line_masks, g.lines_by_point
     # a point is clean when its lines meet only in it, so its neighbour
     # list has no repeats, and no edge joins two of them, so no line missing
@@ -430,9 +460,10 @@ def convex_closures(
         ]
     spheres = g.distance_spheres
     far_masks = [sum(layers[3:]) for layers in spheres]
-    todo = 0
+    everyone = todo = 0
     for p in range(n):
         if held[p]:
+            everyone |= held[p]
             todo |= adj[p]
     while True:
         while todo:
@@ -456,7 +487,6 @@ def convex_closures(
         # of each mask, and the seeds sharing it: those held by every
         # member whose closure has as many points, read off bit-sliced
         # column counts (bit j of planes[i] is bit i of seed j's count)
-        closures: list = [None] * count
         groups = []
         planes: list[int] = []
         for h in held:
@@ -468,22 +498,20 @@ def convex_closures(
             else:
                 if h:
                     planes.append(h)
-        width = (count + 7) >> 3
+        width = (everyone.bit_length() + 7) >> 3
         views = [h.to_bytes(width, "little") for h in held]
-        for j in range(count):
-            if closures[j] is not None:
-                continue
+        unplaced = everyone
+        while unplaced:
+            j = (unplaced & -unplaced).bit_length() - 1
             byte, bit = j >> 3, 1 << (j & 7)
             members = [p for p, view in enumerate(views) if view[byte] & bit]
-            same = (1 << count) - 1
+            same = everyone
             for p in members:
                 same &= held[p]
             size = len(members)
             for i, plane in enumerate(planes):
                 same &= plane if size >> i & 1 else ~plane
-            closure = frozenset(members)
-            for k in bits_of(same):
-                closures[k] = closure
+            unplaced &= ~same
             groups.append((members, mask_of(members), same))
         # each distinct closure adds, for the seeds sharing it, the
         # intervals of its own pairs at distance >= 3
@@ -499,7 +527,7 @@ def convex_closures(
                         held[z] |= same
                         todo |= adj[z]
         if not todo:
-            return closures
+            return groups
 
 
 def induced_geometry(g: Geometry, points: Iterable[int]) -> Geometry:

@@ -23,10 +23,9 @@ from .geometry import (
     Geometry,
     GeometryError,
     NpVerdict,
+    _closure_groups,
     bits_of,
-    convex_closures,
     is_geometric_hyperplane,
-    mask_of,
     metrics,
     validate_pls,
 )
@@ -117,44 +116,40 @@ class QuadRecord:
     witness: str | None = None
 
 
-def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
+def _classify_quad(
+    g: Geometry, members: list[int], m: int, starts: list[list[int]]
+) -> QuadRecord:
     """Classify a closure on ``g``'s bitmasks, without building the geometry
     it induces: its collinearity graph must have diameter 2 with no point
     collinear with all others, and the axioms of :func:`is_gq` then name
     its order.  A witness names the first failure, by ``g``'s point and
     line indices.
 
-    ``pts`` must be convex and a subspace, as every closure from
+    The closure is given as its points in increasing order and their
+    bitmask ``m``; ``starts[p]`` lists the indices of the lines whose first
+    point is ``p``, in increasing order (see :func:`_lines_by_first_point`).
+    The closure must be convex and a subspace, as every closure from
     :func:`convex_closures` is.  Then a line of ``g`` with two of its points
     lies inside it, so its collinearity is ``g``'s ``adjacency`` masked to
     it, and every geodesic between two of its points stays inside, so its
-    distances are ``g``'s: it is connected when its first point's spheres
-    cover it, and its diameter is the farthest sphere of a point that meets
-    it.  Each line inside is found once, through its first point.
+    distances are ``g``'s.  One pass decides the shape: each member's
+    non-neighbours in the closure must be nonempty and lie in its sphere
+    ``S_2``, which holds exactly when the closure is connected, of
+    diameter 2, with no point collinear with all others.  Only a closure
+    that fails it runs :func:`_shape_witness`.  Each line inside is found
+    once, through its first point.
     """
     adj, spheres = g.adjacency, g.distance_spheres
-    m = mask_of(pts)
-    members = bits_of(m)
-    if sum(spheres[members[0]]) & m != m:
-        return QuadRecord(pts, "other", None, "closure is disconnected")
-    diameter = 0
     for p in members:
         layers = spheres[p]
-        k = len(layers) - 1
-        while not layers[k] & m:
-            k -= 1
-        diameter = max(diameter, k)
-    if diameter != 2:
-        return QuadRecord(pts, "other", None, f"closure has diameter {diameter}")
-    for p in members:
-        if adj[p] & m == m & ~(1 << p):
-            return QuadRecord(pts, "other", None, f"point {p} adjacent to all others")
-    lines, line_masks, through = g.lines, g.line_masks, g.lines_by_point
+        two = layers[2] if len(layers) > 2 else 0
+        if not m & two or m & ~(adj[p] | two) != 1 << p:
+            return QuadRecord(frozenset(members), "other", None, _shape_witness(g, members, m))
+    line_masks = g.line_masks
     outside = ~m
-    inside = [
-        i for p in members for i in through[p] if lines[i][0] == p and not line_masks[i] & outside
-    ]
+    inside = [i for p in members for i in starts[p] if not line_masks[i] & outside]
     verdict: GqVerdict = _gq_axioms(g, m, inside, adj)
+    pts = frozenset(members)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
     if verdict.order == (2, 2):
@@ -163,22 +158,57 @@ def _classify_quad(g: Geometry, pts: frozenset[int]) -> QuadRecord:
     return QuadRecord(pts, "other", verdict.order, witness)
 
 
+def _shape_witness(g: Geometry, members: list[int], m: int) -> str:
+    """Why a closure is not connected of diameter 2 with no point collinear
+    with all others, the first failure in that order: it is connected when
+    its first point's spheres cover it, and its diameter is the farthest
+    sphere of a member that meets it."""
+    adj, spheres = g.adjacency, g.distance_spheres
+    if sum(spheres[members[0]]) & m != m:
+        return "closure is disconnected"
+    diameter = 0
+    for p in members:
+        layers = spheres[p]
+        k = len(layers) - 1
+        while not layers[k] & m:
+            k -= 1
+        diameter = max(diameter, k)
+    if diameter != 2:
+        return f"closure has diameter {diameter}"
+    return next(f"point {p} adjacent to all others" for p in members if adj[p] & m == m & ~(1 << p))
+
+
+def _lines_by_first_point(g: Geometry) -> list[list[int]]:
+    """Per point, the indices of the lines whose first point it is, in
+    increasing order."""
+    starts: list[list[int]] = [[] for _ in range(g.point_count)]
+    for i, line in enumerate(g.lines):
+        starts[line[0]].append(i)
+    return starts
+
+
 def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """Convex closures of all distance-2 pairs with >= 2 common neighbours,
-    computed in one :func:`convex_closures` call, deduplicated and
-    classified.
+    each distinct closure classified once, in order of its sorted points.
 
-    Every such pair is closed, also when it lies in a quad already found:
-    skipping it would assume the uniqueness of quads that this checks.
+    Pair ``j`` sets bit ``j`` of both its points' seed masks, and one
+    :func:`nearhex.geometry._closure_groups` pass closes every pair and
+    returns each distinct closure once.  Every such pair is closed, also
+    when it lies in a quad already found: skipping it would assume the
+    uniqueness of quads that this checks.
     """
     if not check_np(g).ok:
         raise GeometryError("quad enumeration expects a near polygon")
-    pairs = ((x, y) for x, y, common in g.distance_two_pairs if common >= 2)
-    seen: dict[frozenset[int], QuadRecord] = {}
-    for pts in convex_closures(g, pairs):
-        if pts not in seen:
-            seen[pts] = _classify_quad(g, pts)
-    return sorted(seen.values(), key=lambda r: sorted(r.points))
+    held = [0] * g.point_count
+    bit = 1
+    for x, y, common in g.distance_two_pairs:
+        if common >= 2:
+            held[x] |= bit
+            held[y] |= bit
+            bit <<= 1
+    starts = _lines_by_first_point(g)
+    records = [_classify_quad(g, members, m, starts) for members, m, _ in _closure_groups(g, held)]
+    return sorted(records, key=lambda r: sorted(r.points))
 
 
 class Case(NamedTuple):

@@ -28,10 +28,11 @@ from nearhex import (
 )
 from nearhex.acceptance import run_acceptance
 from nearhex.cli import MODELS, main
-from nearhex.geometry import UNREACHABLE, bits_of
+from nearhex.geometry import UNREACHABLE, _closure_groups, bits_of
 from nearhex.iso import relabel
 
 from strategies import small_geometries
+from test_closures import reference_convex_closures
 
 
 def bfs_rows(g):
@@ -369,14 +370,13 @@ def test_convex_closures_at_points_whose_neighbourhood_is_not_clean(lines):
 
 def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
     calls = []
-    real = nearhex.verify.convex_closures
+    real = nearhex.verify._closure_groups
 
-    def recording(g, seeds):
-        seeds = list(seeds)
-        calls.append(seeds)
-        return real(g, seeds)
+    def recording(g, held):
+        calls.append(list(held))  # the pass grows held in place
+        return real(g, held)
 
-    monkeypatch.setattr(nearhex.verify, "convex_closures", recording)
+    monkeypatch.setattr(nearhex.verify, "_closure_groups", recording)
     for g, pair_count in ((dsp, 3780), (h3, 2310)):
         calls.clear()
         quads = enumerate_quads(g)
@@ -388,8 +388,98 @@ def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
         ]
         assert len(qualifying) == pair_count
         assert len(calls) == 1
-        assert sorted(tuple(seed) for seed in calls[0]) == qualifying
+        # each seed bit, decoded into the points that hold it
+        seeds = [[] for _ in range(max(h.bit_length() for h in calls[0]))]
+        for p, h in enumerate(calls[0]):
+            for j in bits_of(h):
+                seeds[j].append(p)
+        assert sorted(map(tuple, seeds)) == qualifying
         assert len(quads) == 63
+
+
+def test_enumerate_quads_skips_pairs_with_one_common_neighbour():
+    # two lines meeting in a point: a near polygon whose distance-2 pairs
+    # each have one common neighbour, so no pair is closed
+    g = Geometry(5, ((0, 1, 2), (0, 3, 4)))
+    assert check_np(g).ok
+    assert {common for _, _, common in g.distance_two_pairs} == {1}
+    assert enumerate_quads(g) == []
+
+
+def assert_closure_groups_partition_the_seeds(g, seeds, closures):
+    """``_closure_groups`` on ``seeds`` gives each distinct closure once,
+    in order of its lowest seed: the groups' seed masks are disjoint and
+    cover every seed, no two groups have the same members, and seed
+    ``j``'s group holds ``closures[j]``."""
+    held = [0] * g.point_count
+    for j, seed in enumerate(seeds):
+        for p in seed:
+            held[p] |= 1 << j
+    groups = _closure_groups(g, held)
+    covered = 0
+    lowest = []
+    for members, mask, same in groups:
+        assert members == sorted(members) and mask == sum(1 << p for p in members)
+        assert same and not covered & same
+        covered |= same
+        lowest.append(same & -same)
+        for j in bits_of(same):
+            assert frozenset(members) == closures[j]
+    assert covered == (1 << len(seeds)) - 1
+    assert lowest == sorted(lowest)
+    assert len({mask for _, mask, _ in groups}) == len(groups)
+
+
+@given(small_geometries(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_closure_groups_match_oracle(g, data):
+    n = g.point_count
+    seed = st.one_of(
+        st.frozensets(st.integers(0, n - 1), min_size=1), st.just(frozenset(range(n)))
+    )
+    seeds = data.draw(st.lists(seed, min_size=1, max_size=12))
+    if len(seeds) > 1 and data.draw(st.booleans()):
+        seeds[-1] = seeds[0]
+    closed = closed_sets(g)
+    assert_closure_groups_partition_the_seeds(g, seeds, [closure_oracle(g, s, closed) for s in seeds])
+
+
+def test_closure_groups_partition_the_qualifying_pairs(h3, dsp):
+    for g in (h3, dsp):
+        pairs = [(x, y) for x, y, common in g.distance_two_pairs if common >= 2]
+        assert_closure_groups_partition_the_seeds(g, pairs, reference_convex_closures(g, pairs))
+
+
+def np_verdict_of_the_census(levels):
+    """The near-polygon verdict read off a whole ``line_levels`` census."""
+    for li, groups in enumerate(levels):
+        bad = sum(mask for _, m, mask in groups if m >= 2)
+        if bad:
+            return (False, ((bad & -bad).bit_length() - 1, li))
+    return (True, None)
+
+
+def test_check_np_stops_at_the_first_failing_line(h3, dsp):
+    rng = random.Random(19)
+    for base in (h3, dsp) * 3:
+        lines = list(base.lines)
+        for _ in range(rng.randint(1, 3)):
+            lines.pop(rng.randrange(len(lines)))
+        perm = list(range(base.point_count))
+        rng.shuffle(perm)
+        g = relabel(Geometry(base.point_count, tuple(lines)), perm)
+        verdict = check_np(g)
+        assert "line_levels" not in vars(g)
+        fresh = Geometry(g.point_count, g.lines)
+        assert not verdict.ok
+        assert tuple(verdict) == np_verdict_of_the_census(fresh.line_levels)
+
+
+def test_check_np_keeps_the_census_of_a_passing_model(w2, h3, dsp):
+    for model in (w2, h3, dsp):
+        g = Geometry(model.point_count, model.lines)
+        assert check_np(g).ok
+        assert vars(g)["line_levels"] == Geometry(g.point_count, g.lines).line_levels
 
 
 def test_no_command_builds_distance_rows(monkeypatch, tmp_path, capsys):

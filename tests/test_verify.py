@@ -29,9 +29,17 @@ from nearhex import (
     metrics,
     parameters,
 )
-from nearhex.geometry import convex_closures
+from nearhex.geometry import convex_closures, mask_of
 from nearhex.iso import relabel
-from nearhex.verify import CHECKS, EXPECTED, QuadRecord, _classify_quad, default_checks, run_check
+from nearhex.verify import (
+    CHECKS,
+    EXPECTED,
+    QuadRecord,
+    _classify_quad,
+    _lines_by_first_point,
+    default_checks,
+    run_check,
+)
 
 from strategies import lifted_witness, small_geometries
 
@@ -135,6 +143,11 @@ def test_quads_dsp(dsp):
     assert census == {("gq22", 15): 63}
 
 
+def classify(g, pts):
+    """``_classify_quad`` on a closure given as a set of points."""
+    return _classify_quad(g, sorted(pts), mask_of(pts), _lines_by_first_point(g))
+
+
 def test_classify_quad_witnesses():
     """Every verdict of the quad classifier, each with its exact witness;
     points and lines are named by the parent geometry's indices."""
@@ -155,11 +168,11 @@ def test_classify_quad_witnesses():
     ]
     for g, pts, order, witness in cases:
         pts = frozenset(pts)
-        assert _classify_quad(g, pts) == QuadRecord(pts, "other", order, witness)
+        assert classify(g, pts) == QuadRecord(pts, "other", order, witness)
 
 
 def classify_quad_on_the_induced_geometry(g, pts):
-    """``_classify_quad``'s record, read off the induced geometry, built:
+    """``classify``'s record, read off the induced geometry, built:
     its ``metrics``, a point collinear with all others, then ``is_gq``,
     with the witness taken back to ``g``'s indices."""
     order = sorted(pts)
@@ -203,7 +216,7 @@ def test_classify_quad_matches_the_induced_geometry(w2, h3, dsp, h3_partitions, 
     for base in (w2, h3, dsp, h3_partitions, h3_debruyn):
         g = _relabeled(base, rng)
         for pts in _quad_closures(g, rng, 30):
-            record = _classify_quad(g, pts)
+            record = classify(g, pts)
             assert record == classify_quad_on_the_induced_geometry(g, pts)
             found.add(record.witness or record.kind)
     assert found == {"grid21", "gq22"} | {f"closure has diameter {d}" for d in (0, 1, 3)}
@@ -221,7 +234,7 @@ def test_classify_quad_matches_the_induced_geometry_on_mutants(h3, dsp):
             lines.pop(rng.randrange(len(lines)))
         g = _relabeled(Geometry(base.point_count, tuple(lines)), rng)
         for pts in _quad_closures(g, rng, 20):
-            record = _classify_quad(g, pts)
+            record = classify(g, pts)
             assert record == classify_quad_on_the_induced_geometry(g, pts)
             found.add(record.witness or record.kind)
     assert found == {"grid21", "gq22"} | {f"closure has diameter {d}" for d in (0, 1, 3, 4)}
@@ -262,7 +275,7 @@ def small_closures(draw):
 def test_classify_quad_matches_the_induced_geometry_on_small_geometries(case):
     g, pts = case
     if pts:
-        assert _classify_quad(g, pts) == classify_quad_on_the_induced_geometry(g, pts)
+        assert classify(g, pts) == classify_quad_on_the_induced_geometry(g, pts)
 
 
 def test_quads_of_other_orders_carry_a_witness():
