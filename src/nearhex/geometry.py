@@ -107,6 +107,14 @@ class Geometry:
         return tuple(tuple(t) for t in through)
 
     @cached_property
+    def lines_by_first_point(self) -> tuple[tuple[int, ...], ...]:
+        """Per point, the indices of the lines that start at it; see :func:`_lines_inside`."""
+        starts: list[list[int]] = [[] for _ in range(self.point_count)]
+        for i, line in enumerate(self.lines):
+            starts[line[0]].append(i)
+        return tuple(map(tuple, starts))
+
+    @cached_property
     def line_masks(self) -> tuple[int, ...]:
         """Bitmask of each line, in the order of ``lines``."""
         return tuple(mask_of(line) for line in self.lines)
@@ -282,15 +290,29 @@ class PlsVerdict(NamedTuple):
     violations: tuple[tuple[tuple[int, int], int, int], ...]
 
 
-def _check_points(g: Geometry, pts: Iterable[int]) -> list[int]:
+def _check_indices(indices: Iterable[int], count: int, kind: str) -> list[int]:
+    """The indices as a list, each checked to be a plain ``int`` (a ``bool``
+    is not) in ``0..count - 1``; ``kind`` names them in the error."""
     out = []
-    for p in pts:
-        if type(p) is not int:
-            raise GeometryError(f"point index {p!r} is not an integer")
-        if not 0 <= p < g.point_count:
-            raise GeometryError(f"point index {p} out of range")
-        out.append(p)
+    for i in indices:
+        if type(i) is not int:
+            raise GeometryError(f"{kind} index {i!r} is not an integer")
+        if not 0 <= i < count:
+            raise GeometryError(f"{kind} index {i} out of range")
+        out.append(i)
     return out
+
+
+def _check_points(g: Geometry, pts: Iterable[int]) -> list[int]:
+    return _check_indices(pts, g.point_count, "point")
+
+
+def _lines_inside(g: Geometry, members: list[int], m: int) -> list[int]:
+    """The indices, in increasing order, of the lines inside a point set given
+    as its sorted ``members`` and their bitmask ``m``; each is met at its first point."""
+    starts, line_masks = g.lines_by_first_point, g.line_masks
+    outside = ~m
+    return [i for p in members for i in starts[p] if not line_masks[i] & outside]
 
 
 def collinear(g: Geometry, x: int, y: int) -> bool:
@@ -366,25 +388,19 @@ def convex_closures(
 ) -> list[frozenset[int]]:
     """Smallest convex subspace containing each seed, all seeds at once.
 
-    Seeds are checked point by point, and a seed that is empty or names a
-    point that is not a plain ``int`` in range raises ``GeometryError``.
-    Seed ``j`` becomes bit ``j`` of the mask of each of its points, and
-    :func:`_closure_groups` closes them all in one pass.  Seeds with equal
-    closures share one frozenset.
+    Each seed's points are checked by :func:`_check_points`, and an empty
+    seed raises ``GeometryError``.  Seed ``j`` becomes bit ``j`` of the mask
+    of each of its points, and :func:`_closure_groups` closes them all in
+    one pass.  Seeds with equal closures share one frozenset.
     """
-    n = g.point_count
-    held = [0] * n
+    held = [0] * g.point_count
     count = 0
     for seed in seeds:
-        bit, p = 1 << count, None
-        for p in seed:
-            if type(p) is not int:
-                raise GeometryError(f"point index {p!r} is not an integer")
-            if not 0 <= p < n:
-                raise GeometryError(f"point index {p} out of range")
-            held[p] |= bit
-        if p is None:
+        pts = _check_points(g, seed)
+        if not pts:
             raise GeometryError("closure of an empty set is undefined")
+        for p in pts:
+            held[p] |= 1 << count
         count += 1
     closures: list = [None] * count
     for members, _, same in _closure_groups(g, held):
@@ -534,15 +550,7 @@ def induced_geometry(g: Geometry, points: Iterable[int]) -> Geometry:
     """Geometry on the given points whose lines are the lines lying inside."""
     pts = sorted(set(_check_points(g, points)))
     remap = {p: i for i, p in enumerate(pts)}
-    outside = ~mask_of(pts)
-    all_lines, line_masks, through = g.lines, g.line_masks, g.lines_by_point
-    # a line inside the set is met through its first point, and only there
-    lines = [
-        tuple(remap[q] for q in all_lines[i])
-        for p in pts
-        for i in through[p]
-        if all_lines[i][0] == p and not line_masks[i] & outside
-    ]
+    lines = [tuple(remap[q] for q in g.lines[i]) for i in _lines_inside(g, pts, mask_of(pts))]
     labels = tuple(g.labels[p] for p in pts) if g.labels is not None else None
     return Geometry(len(pts), tuple(lines), labels)
 

@@ -18,6 +18,7 @@ from .geometry import (
     Geometry,
     GeometryError,
     _check_points,
+    _lines_inside,
     bits_of,
     collinear,
     dual_geometry,
@@ -67,27 +68,17 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
     the first failure, by ``g``'s point and line indices.
 
     Everything is read off ``g``'s bitmasks, so the induced geometry is
-    never built.  Its lines are those of ``g`` through the set's points that
-    have no point outside it, and a point's neighbourhood is the union of
-    those through it; :func:`_gq_axioms` then decides.  Out-of-range points
-    raise :class:`GeometryError`.
+    never built: ``geometry._lines_inside`` lists its lines, each point's
+    neighbourhood is read off them, and :func:`_gq_axioms` decides.  Points
+    are checked as by ``geometry._check_points``.
     """
     m = g.full_mask if points is None else mask_of(_check_points(g, points))
-    outside = ~m
-    lines, line_masks, through = g.lines, g.line_masks, g.lines_by_point
-    # the lines inside, each met through its first point; since the lines
-    # are sorted and the points come in increasing order, so do the indices
-    inside = []
-    nbr = {}
-    for p in bits_of(m):
-        near = 0
-        for i in through[p]:
-            lm = line_masks[i]
-            if not lm & outside:
-                near |= lm
-                if lines[i][0] == p:
-                    inside.append(i)
-        nbr[p] = near & ~(1 << p)
+    inside = _lines_inside(g, bits_of(m), m)
+    lines, line_masks = g.lines, g.line_masks
+    nbr = [0] * g.point_count
+    for i in inside:
+        for p in lines[i]:
+            nbr[p] |= line_masks[i] & ~(1 << p)
     return _gq_axioms(g, m, inside, nbr)
 
 

@@ -51,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .geometry import Geometry, GeometryError
+from .geometry import Geometry, GeometryError, _check_points
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -79,8 +79,9 @@ class IsoVerdict:
 
 
 def relabel(g: Geometry, perm: Sequence[int]) -> Geometry:
-    """Apply a point permutation: point p becomes point perm[p]."""
-    if sorted(perm) != list(range(g.point_count)):
+    """Apply a point permutation: point p becomes point perm[p].  Entries
+    are checked as point indices, and must be a permutation of the points."""
+    if sorted(_check_points(g, perm)) != list(range(g.point_count)):
         raise GeometryError("not a permutation of the points")
     lines = tuple(tuple(perm[p] for p in line) for line in g.lines)
     labels = None

@@ -23,7 +23,10 @@ from .geometry import (
     Geometry,
     GeometryError,
     NpVerdict,
+    _check_indices,
+    _check_points,
     _closure_groups,
+    _lines_inside,
     bits_of,
     is_geometric_hyperplane,
     metrics,
@@ -92,12 +95,9 @@ def line_distance_profiles(
     meets them.  A line index that is not a plain ``int`` (a ``bool`` is
     not) or lies outside ``0..len(g.lines) - 1`` raises ``GeometryError``.
     """
-    indices = range(len(g.lines)) if line_indices is None else list(line_indices)
-    for li in indices:
-        if type(li) is not int:
-            raise GeometryError(f"line index {li!r} is not an integer")
-        if not 0 <= li < len(g.lines):
-            raise GeometryError(f"line index {li} out of range")
+    indices = range(len(g.lines))
+    if line_indices is not None:
+        indices = _check_indices(line_indices, len(g.lines), "line")
     census = g.line_levels
     out: dict[tuple[int, ...], int] = {}
     for li in indices:
@@ -116,9 +116,7 @@ class QuadRecord:
     witness: str | None = None
 
 
-def _classify_quad(
-    g: Geometry, members: list[int], m: int, starts: list[list[int]]
-) -> QuadRecord:
+def _classify_quad(g: Geometry, members: list[int], m: int) -> QuadRecord:
     """Classify a closure on ``g``'s bitmasks, without building the geometry
     it induces: its collinearity graph must have diameter 2 with no point
     collinear with all others, and the axioms of :func:`is_gq` then name
@@ -126,18 +124,16 @@ def _classify_quad(
     line indices.
 
     The closure is given as its points in increasing order and their
-    bitmask ``m``; ``starts[p]`` lists the indices of the lines whose first
-    point is ``p``, in increasing order (see :func:`_lines_by_first_point`).
-    The closure must be convex and a subspace, as every closure from
-    :func:`convex_closures` is.  Then a line of ``g`` with two of its points
-    lies inside it, so its collinearity is ``g``'s ``adjacency`` masked to
-    it, and every geodesic between two of its points stays inside, so its
-    distances are ``g``'s.  One pass decides the shape: each member's
-    non-neighbours in the closure must be nonempty and lie in its sphere
-    ``S_2``, which holds exactly when the closure is connected, of
-    diameter 2, with no point collinear with all others.  Only a closure
-    that fails it runs :func:`_shape_witness`.  Each line inside is found
-    once, through its first point.
+    bitmask ``m``.  It must be convex and a subspace, as every closure from
+    :func:`nearhex.geometry._closure_groups` is.  Then a line of ``g`` with
+    two of its points lies inside it, so its collinearity is ``g``'s
+    ``adjacency`` masked to it, and every geodesic between two of its
+    points stays inside, so its distances are ``g``'s.  One pass decides
+    the shape: each member's non-neighbours in the closure must be nonempty
+    and lie in its sphere ``S_2``, which holds exactly when the closure is
+    connected, of diameter 2, with no point collinear with all others.
+    Only a closure that fails it runs :func:`_shape_witness`.  The lines
+    inside come from :func:`nearhex.geometry._lines_inside`.
     """
     adj, spheres = g.adjacency, g.distance_spheres
     for p in members:
@@ -145,10 +141,7 @@ def _classify_quad(
         two = layers[2] if len(layers) > 2 else 0
         if not m & two or m & ~(adj[p] | two) != 1 << p:
             return QuadRecord(frozenset(members), "other", None, _shape_witness(g, members, m))
-    line_masks = g.line_masks
-    outside = ~m
-    inside = [i for p in members for i in starts[p] if not line_masks[i] & outside]
-    verdict: GqVerdict = _gq_axioms(g, m, inside, adj)
+    verdict: GqVerdict = _gq_axioms(g, m, _lines_inside(g, members, m), adj)
     pts = frozenset(members)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
@@ -178,15 +171,6 @@ def _shape_witness(g: Geometry, members: list[int], m: int) -> str:
     return next(f"point {p} adjacent to all others" for p in members if adj[p] & m == m & ~(1 << p))
 
 
-def _lines_by_first_point(g: Geometry) -> list[list[int]]:
-    """Per point, the indices of the lines whose first point it is, in
-    increasing order."""
-    starts: list[list[int]] = [[] for _ in range(g.point_count)]
-    for i, line in enumerate(g.lines):
-        starts[line[0]].append(i)
-    return starts
-
-
 def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """Convex closures of all distance-2 pairs with >= 2 common neighbours,
     each distinct closure classified once, in order of its sorted points.
@@ -206,8 +190,7 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
             held[x] |= bit
             held[y] |= bit
             bit <<= 1
-    starts = _lines_by_first_point(g)
-    records = [_classify_quad(g, members, m, starts) for members, m, _ in _closure_groups(g, held)]
+    records = [_classify_quad(g, members, m) for members, m, _ in _closure_groups(g, held)]
     return sorted(records, key=lambda r: sorted(r.points))
 
 
@@ -440,10 +423,13 @@ def h3_case_analysis(g: Geometry) -> list[CaseReport]:
 def dsp_case_analysis(g: Geometry, h3_points: Iterable[int]) -> list[CaseReport]:
     """Exhaustive scan of the 135-point space against
     ``EXPECTED["dsp62"].cases``: pairs touching an adjoined copy fall in
-    B1..B7, pairs inside the embedded hexagon in the A-cases."""
+    B1..B7, pairs inside the embedded hexagon in the A-cases.
+
+    ``h3_points`` are checked as point indices and must be exactly the
+    Pair-labelled points."""
     rows = _case_rows(g)
     pair_points = frozenset(i for i, label in enumerate(g.labels) if isinstance(label, Pair))
-    if frozenset(h3_points) != pair_points:
+    if frozenset(_check_points(g, h3_points)) != pair_points:
         raise GeometryError("h3_points does not match the Pair-labelled points")
     return _case_scan(g, rows, EXPECTED["dsp62"].cases)
 

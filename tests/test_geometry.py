@@ -9,6 +9,7 @@ from nearhex import (
     GeometryError,
     convex_closure,
     dual_geometry,
+    enumerate_quads,
     induced_geometry,
     is_geometric_hyperplane,
     is_gq,
@@ -17,8 +18,10 @@ from nearhex import (
     perp,
     validate_pls,
 )
-from nearhex.geometry import bits_of, collinear
+from nearhex.geometry import _lines_inside, bits_of, collinear, mask_of
 from nearhex.gq22 import EDGE_INDEX, complete_triad_through
+
+from strategies import small_geometries
 
 E = {
     name: EDGE_INDEX[frozenset(int(c) for c in name)]
@@ -205,6 +208,33 @@ def test_induced_geometry_keeps_only_interior_lines(w2):
     sub = induced_geometry(w2, {a, b, c, 0 if 0 not in w2.lines[0] else 4})
     assert sub.point_count == 4
     assert len(sub.lines) == 1
+
+
+def assert_lines_inside_match_a_scan(g, pts):
+    """``_lines_inside`` lists the lines inside ``pts`` as a scan of all
+    lines does, in the same order; the table it reads files each line
+    under its first point and under no other."""
+    members = sorted(pts)
+    assert _lines_inside(g, members, mask_of(members)) == [
+        i for i, line in enumerate(g.lines) if set(line) <= set(members)
+    ]
+    starts = g.lines_by_first_point
+    assert len(starts) == g.point_count
+    assert sorted(i for row in starts for i in row) == list(range(len(g.lines)))
+    assert all(g.lines[i][0] == p for p, row in enumerate(starts) for i in row)
+
+
+@given(small_geometries(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lines_inside_matches_a_scan_on_small_geometries(g, data):
+    pts = data.draw(st.sets(st.integers(0, g.point_count - 1)))
+    assert_lines_inside_match_a_scan(g, pts)
+
+
+def test_lines_inside_matches_a_scan_on_every_quad(h3, dsp):
+    for g in (h3, dsp):
+        for record in enumerate_quads(g):
+            assert_lines_inside_match_a_scan(g, record.points)
 
 
 @given(st.integers(0, 1 << 3100))

@@ -69,6 +69,13 @@ def test_relabel_roundtrip(w2):
         relabel(w2, [0] * 15)
 
 
+@pytest.mark.parametrize("perm", [[0, 1.0, 2], [0, True, 2]])
+def test_relabel_rejects_indices_that_are_not_integers(perm):
+    g = Geometry(3, (), ("a", "b", "c"))
+    with pytest.raises(GeometryError, match=f"point index {perm[1]!r} is not an integer"):
+        relabel(g, perm)
+
+
 def test_canonical_form_deterministic(w2):
     a = canonical_form(w2)
     b = canonical_form(w2)

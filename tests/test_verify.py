@@ -36,7 +36,6 @@ from nearhex.verify import (
     EXPECTED,
     QuadRecord,
     _classify_quad,
-    _lines_by_first_point,
     default_checks,
     run_check,
 )
@@ -145,7 +144,7 @@ def test_quads_dsp(dsp):
 
 def classify(g, pts):
     """``_classify_quad`` on a closure given as a set of points."""
-    return _classify_quad(g, sorted(pts), mask_of(pts), _lines_by_first_point(g))
+    return _classify_quad(g, sorted(pts), mask_of(pts))
 
 
 def test_classify_quad_witnesses():
@@ -396,6 +395,21 @@ def test_dsp_case_analysis_worked_examples(dsp):
 def test_dsp_case_analysis_checks_h3_points(dsp):
     with pytest.raises(GeometryError):
         dsp_case_analysis(dsp, range(104))
+
+
+@pytest.mark.parametrize(
+    "h3_points, error",
+    [
+        ([0, True, *range(2, 105)], "point index True is not an integer"),
+        ([0.0, *range(1, 105)], "point index 0.0 is not an integer"),
+        ([*range(105), 135], "point index 135 out of range"),
+    ],
+)
+def test_dsp_case_analysis_checks_each_h3_point(dsp, h3_points, error):
+    """Entries that a frozenset would equate with ``range(105)``, and one
+    past the last point, are rejected one by one."""
+    with pytest.raises(GeometryError, match=error):
+        dsp_case_analysis(dsp, h3_points)
 
 
 def test_case_reports_state_the_value_checked(h3, dsp):
