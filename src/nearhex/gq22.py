@@ -191,14 +191,14 @@ def incomplete_triad_subgq(g: Geometry, triad: Triad) -> frozenset[int]:
     ]
     # a 9-point (2,1)-GQ has 9 * 2 / 3 = 6 lines, so only the sets with
     # exactly 6 lines inside them go to the full check
-    line_masks = g.line_masks
     triad_mask = mask_of(tset)
     found = []
     for rest in combinations(candidates, 6):
-        outside = ~(triad_mask | mask_of(rest))
-        if sum(not lm & outside for lm in line_masks) != 6:
+        members = sorted((*tset, *rest))
+        m = triad_mask | mask_of(rest)
+        if len(_lines_inside(g, members, m)) != 6:
             continue
-        pts = frozenset(tset) | frozenset(rest)
+        pts = frozenset(members)
         if is_gq(g, pts).order == (2, 1):
             found.append(pts)
     if len(found) != 1:

@@ -11,9 +11,16 @@ sizes.  A splitter that is a unit cell counts nothing: each of its
 neighbours has count 1, so a touched cell splits straight into its
 untouched front and touched back (bliss's unit-cell split; Junttila &
 Kaski, *Engineering an efficient canonical labeling tool for large and
-sparse graphs*, 2007).  A Hopcroft queue keeps out the first largest
-fragment of a cell that is not itself queued, and after individualizing a
-vertex only its singleton is queued.
+sparse graphs*, 2007).  Most passes split nothing, and those cost least: a
+unit splitter with no neighbour in a cell of two or more is dropped after
+one pass over its neighbour list, and one touching a single vertex of a
+cell swaps it with the cell's last.  A larger splitter counts into one
+list per refinement, only the vertices of cells of two or more, and lists
+each cell's touched vertices in the same pass; a cell it touches whole
+with one count writes its trace entry and is left as it is.  None of this
+changes a partition, a trace entry or a queue decision.  A Hopcroft queue
+keeps out the first largest fragment of a cell that is not itself queued,
+and after individualizing a vertex only its singleton is queued.
 
 One tree walker, :class:`_Walker`, serves both entry points (McKay &
 Piperno, *Practical Graph Isomorphism II*, 2014).  Each node branches on
@@ -192,31 +199,42 @@ def _refine(
     not listed in ``splitters``.
 
     A splitter of two or more vertices counts neighbours from its own
-    vertices' lists, and only the cells it touches split, in place, into
-    fragments ordered by count.  Only the touched vertices move: the
-    untouched ones (count 0) keep the front of the cell and its start, and
-    the touched ones are swapped to the back and written there by count,
-    so a split costs the touched vertices, not the cell.  A unit splitter
-    gives each neighbour a count of 1, so it builds no counts: each touched
-    cell splits into its untouched front and its touched back, with the
-    moves and trace entries that a count of 1 gives, and a unit splitter
-    with no neighbour in a cell of two or more costs one pass over its
-    neighbour list.  A split cell that is queued queues all its new
-    fragments; one that is not queued queues all but its first largest
-    fragment (Hopcroft's rule).  Every touched cell appends
+    vertices' lists into one list of counts per call, reset after each
+    splitter.  It counts only the vertices of cells of two or more, and
+    lists each such cell's touched vertices, in the order first met, in
+    the same pass.  Only the cells it touches split, in place, into
+    fragments ordered by count; a cell touched whole with one count does
+    not split, and its entry is written without grouping.  Only the
+    touched vertices move: the untouched ones (count 0) keep the front of
+    the cell and its start, and the touched ones are swapped to the back
+    and written there by count, so a split costs the touched vertices, not
+    the cell.  A unit splitter gives each neighbour a count of 1, so it
+    builds no counts: each touched cell splits into its untouched front and
+    its touched back, with the moves and trace entries that a count of 1
+    gives.  One that touches a single vertex of a cell swaps it with the
+    cell's last, and one with no neighbour in a cell of two or more costs
+    one pass over its neighbour list.  A split cell that is queued queues
+    all its new fragments; one that is not queued queues all but its first
+    largest fragment (Hopcroft's rule).  Every touched cell appends
     ``(splitter, cell, counts..., sizes...)`` to ``trace``, with count 0
-    first when some of the cell is untouched.  With ``replay``, each entry
-    is compared with the next one of ``trace`` instead (another run's
-    trace), and refinement stops and returns False at the first that
-    differs.  Deterministic and equivariant.
+    first when some of the cell is untouched.  The short cuts leave every
+    partition, entry and queue decision as the general split would.  With
+    ``replay``, each entry is compared with the next one of
+    ``trace`` instead (another run's trace), and refinement stops and
+    returns False at the first that differs, leaving ``part`` a whole
+    partition.  Deterministic and equivariant.
     """
     lab, pos, cell_of, end = part.lab, part.pos, part.cell_of, part.end
+    open_cells = part.open
     queue = deque(splitters)
-    queued = set(splitters)
+    queued = bytearray(len(lab))  # by cell start
+    for s in splitters:
+        queued[s] = 1
+    counts = [0] * len(lab)  # nonzero only while a splitter is counting
     matched = 0
-    while queue and part.open:
+    while queue and open_cells:
         sp = queue.popleft()
-        queued.discard(sp)
+        queued[sp] = 0
         if end[sp] - sp == 1:
             # a unit splitter gives each neighbour a count of 1: every
             # touched cell splits into its untouched front and touched back
@@ -225,7 +243,7 @@ def _refine(
                 s = cell_of[w]
                 if end[s] - s > 1:
                     hit.setdefault(s, []).append(w)
-            for s in sorted(hit):
+            for s in sorted(hit) if len(hit) > 1 else hit:
                 touched = hit[s]
                 e = end[s]
                 size = len(touched)
@@ -235,53 +253,85 @@ def _refine(
                     if not replay:
                         trace.append(entry)
                     elif matched == len(trace) or trace[matched] != entry:
+                        part.open = open_cells
                         return False
                     matched += 1
                 if back == s:
                     continue
-                # mark the touched by their new cell, then fill each hole
-                # they leave in front of ``back`` with an untouched one
-                for w in touched:
-                    cell_of[w] = back
-                j = back
-                for w in touched:
+                if size == 1:
+                    # one touched vertex: swap it with the cell's last
+                    w = touched[0]
                     i = pos[w]
-                    if i < back:
-                        while cell_of[lab[j]] == back:
+                    u = lab[back]
+                    lab[i] = u
+                    pos[u] = i
+                    lab[back] = w
+                    pos[w] = back
+                    cell_of[w] = back
+                else:
+                    # mark the touched by their new cell, then fill each
+                    # hole they leave in front of ``back`` with an untouched one
+                    for w in touched:
+                        cell_of[w] = back
+                    j = back
+                    for w in touched:
+                        i = pos[w]
+                        if i < back:
+                            while cell_of[lab[j]] == back:
+                                j += 1
+                            u = lab[j]
+                            lab[i] = u
+                            pos[u] = i
                             j += 1
-                        u = lab[j]
-                        lab[i] = u
-                        pos[u] = i
-                        j += 1
-                for i, w in enumerate(touched, back):
-                    lab[i] = w
-                    pos[w] = i
+                    for i, w in enumerate(touched, back):
+                        lab[i] = w
+                        pos[w] = i
                 end[s] = back
                 end[back] = e
-                part.open += (back - s > 1) + (size > 1) - 1
+                open_cells += (back - s > 1) + (size > 1) - 1
                 # keep out the larger fragment, the front on a tie or when
                 # the cell is queued already
-                f = s if size > back - s and s not in queued else back
+                f = s if size > back - s and not queued[s] else back
                 queue.append(f)
-                queued.add(f)
+                queued[f] = 1
             continue
-        counts: dict[int, int] = {}
+        # count only the neighbours in cells of two or more, listing each
+        # cell's touched vertices in the order they are first met
+        hit = {}
         for v in lab[sp : end[sp]]:
             for w in nbrs[v]:
-                counts[w] = counts.get(w, 0) + 1
-        hit = {}
-        for w in counts:
-            s = cell_of[w]
-            if end[s] - s > 1:
-                hit.setdefault(s, []).append(w)
-        for s in sorted(hit):
+                c = counts[w]
+                if c:
+                    counts[w] = c + 1
+                else:
+                    s = cell_of[w]
+                    if end[s] - s > 1:
+                        counts[w] = 1
+                        hit.setdefault(s, []).append(w)
+        for s in sorted(hit) if len(hit) > 1 else hit:
             touched = hit[s]
             e = end[s]
+            back = e - len(touched)  # where the touched vertices go
+            if back == s:
+                c = counts[touched[0]]
+                for w in touched:
+                    if counts[w] != c:
+                        break
+                else:
+                    # touched whole with one count: the cell does not split
+                    if trace is not None:
+                        entry = (sp, s, c, e - s)
+                        if not replay:
+                            trace.append(entry)
+                        elif matched == len(trace) or trace[matched] != entry:
+                            part.open = open_cells
+                            return False
+                        matched += 1
+                    continue
             groups: dict[int, list[int]] = {}
             for w in touched:
                 groups.setdefault(counts[w], []).append(w)
             keys = sorted(groups)
-            back = e - len(touched)  # where the touched vertices go
             if trace is not None:
                 sizes = [len(groups[k]) for k in keys]
                 if back > s:
@@ -291,10 +341,9 @@ def _refine(
                 if not replay:
                     trace.append(entry)
                 elif matched == len(trace) or trace[matched] != entry:
+                    part.open = open_cells
                     return False
                 matched += 1
-            if back == s and len(keys) == 1:
-                continue
             frags = []
             kept, kept_size = s, 0  # the first largest fragment
             if back > s:
@@ -304,7 +353,7 @@ def _refine(
                 for w in touched:
                     i = pos[w]
                     if i < back:
-                        while lab[j] in counts:
+                        while counts[lab[j]]:
                             j += 1
                         u = lab[j]
                         lab[i] = u
@@ -314,7 +363,7 @@ def _refine(
                 frags.append(s)
                 kept_size = back - s
                 if kept_size > 1:
-                    part.open += 1
+                    open_cells += 1
             at = back
             for k in keys:
                 group = groups[k]
@@ -328,15 +377,19 @@ def _refine(
                 if size > kept_size:
                     kept, kept_size = at, size
                 if size > 1:
-                    part.open += 1
+                    open_cells += 1
                 at += size
-            part.open -= 1
-            if s in queued:
+            open_cells -= 1
+            if queued[s]:
                 kept = s
             for f in frags:
                 if f != kept:
                     queue.append(f)
-                    queued.add(f)
+                    queued[f] = 1
+        for touched in hit.values():
+            for w in touched:
+                counts[w] = 0
+    part.open = open_cells
     return not replay or matched == len(trace)
 
 

@@ -8,7 +8,9 @@ here as well, independently of the library's own verification.
 The counting refinement is checked against the plain split loop it
 replaced, kept here as the reference, against a brute-force test of
 equitability, and against a relabeled copy that replays its trace to the
-image partition, on the incidence graphs of small random geometries.  The
+image partition, on the incidence graphs of small random geometries; a
+traced and an untraced run leave the same partition, and a replay that
+stops at an altered entry leaves whole bookkeeping.  The
 cheap invariants are checked against a form that takes the distance
 census from histograms of the ``distance_rows`` rows, kept here as the
 reference too.  The automorphism group order that the walker reports is
@@ -607,6 +609,11 @@ def incidence_image(g, perm, copy):
     ]
 
 
+def state(part):
+    """Everything a refinement leaves in a partition."""
+    return part.lab, part.pos, part.cell_of, part.end, part.open
+
+
 def cells_of(part):
     """The cells of a partition, after checking its bookkeeping."""
     cells = [part.lab[s : part.end[s]] for s in part.starts()]
@@ -623,6 +630,16 @@ def assert_equitable(nbrs, cells):
             assert len({len(y.intersection(nbrs[v])) for v in x}) == 1
 
 
+def assert_altered_replays_stop_whole(nbrs, part, splitters, trace):
+    """A replay from a copy of ``part`` stops at any one entry of ``trace``
+    made to differ, and leaves a partition whose bookkeeping holds."""
+    for k, entry in enumerate(trace):
+        stopped = part.copy()
+        altered = trace[:k] + [(*entry[:-1], entry[-1] + 1)]
+        assert not _refine(nbrs, stopped, splitters, altered, replay=True)
+        cells_of(stopped)
+
+
 @given(small_geometries(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_refine_matches_the_naive_split_loop(g, data):
@@ -630,9 +647,12 @@ def test_refine_matches_the_naive_split_loop(g, data):
     adj = [mask_of(vs) for vs in nbrs]
     part = _Partition.points_then_lines(g.point_count, len(nbrs))
     base = cells_of(part)
+    untraced = part.copy()
     trace = []
     assert _refine(nbrs, part, part.starts(), trace)
     refined = cells_of(part)
+    assert _refine(nbrs, untraced, untraced.starts())
+    assert state(untraced) == state(part)
     want = naive_refine(adj, base, [mask_of(c) for c in base])
     assert {frozenset(c) for c in refined} == {frozenset(c) for c in want}
     assert_equitable(nbrs, refined)
@@ -643,6 +663,7 @@ def test_refine_matches_the_naive_split_loop(g, data):
     nbrs_copy = _incidence_neighbours(copy)
     image = incidence_image(g, perm, copy)
     part_copy = _Partition.points_then_lines(copy.point_count, len(nbrs_copy))
+    assert_altered_replays_stop_whole(nbrs_copy, part_copy, part_copy.starts(), trace)
     assert _refine(nbrs_copy, part_copy, part_copy.starts(), trace, replay=True)
     assert [set(c) for c in cells_of(part_copy)] == [{image[u] for u in c} for c in refined]
 
@@ -653,15 +674,21 @@ def test_refine_matches_the_naive_split_loop(g, data):
     v = data.draw(st.sampled_from(choices))
     target = part.cell_of[v]
     part.individualize(target, v)
+    untraced = part.copy()
     trace = []
     assert _refine(nbrs, part, [target], trace)
     refined = cells_of(part)
+    assert _refine(nbrs, untraced, [target])
+    assert state(untraced) == state(part)
 
     # and so does the copy with the image of v individualized
     assert part_copy.cell_of[image[v]] == target
     part_copy.individualize(target, image[v])
+    individualized = part_copy.copy()
     assert _refine(nbrs_copy, part_copy, [target], trace, replay=True)
     assert [set(c) for c in cells_of(part_copy)] == [{image[u] for u in c} for c in refined]
+
+    assert_altered_replays_stop_whole(nbrs_copy, individualized, [target], trace)
 
     split = []
     for cell in want:
@@ -719,10 +746,32 @@ def test_replay_fails_at_an_altered_unit_split_entry(h3):
     def replay(entries):
         child = root.copy()
         child.individualize(target, image)
-        return _refine(nbrs_copy, child, [target], list(entries), replay=True)
+        replayed = _refine(nbrs_copy, child, [target], list(entries), replay=True)
+        cells_of(child)  # a replay that stops leaves a whole partition
+        return replayed
 
     assert replay(trace)
     for k in unit_entries:
         altered = list(trace)
         altered[k] = (*trace[k][:-1], trace[k][-1] + 1)
         assert not replay(altered)
+
+
+def test_replay_fails_on_a_uniform_count_alone(w2):
+    """At the root, each of w2's two cells is touched whole, with one
+    count, by the other: every line has 3 points and every point lies on 3
+    lines.  A 15-gon has as many points and lines, but 2 of each, so only
+    those counts tell the two root traces apart, and its replay of w2's
+    fails."""
+    nbrs = _incidence_neighbours(w2)
+    part = _Partition.points_then_lines(w2.point_count, len(nbrs))
+    trace = []
+    assert _refine(nbrs, part, part.starts(), trace)
+    assert trace == [(0, 15, 3, 15), (15, 0, 3, 15)]
+    assert len(cells_of(part)) == 2
+
+    polygon = Geometry(15, tuple(tuple(sorted((p, (p + 1) % 15))) for p in range(15)))
+    nbrs = _incidence_neighbours(polygon)
+    part = _Partition.points_then_lines(polygon.point_count, len(nbrs))
+    assert not _refine(nbrs, part, part.starts(), trace, replay=True)
+    assert len(cells_of(part)) == 2
