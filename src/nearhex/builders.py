@@ -9,9 +9,10 @@
 * :func:`build_h3_debruyn` -- the flag model on ordered pairs of edges.
 
 The two copies of the base quadrangle share the ground set, and the pairing
-x <-> x' is fixed as the identity on edge labels: the quadrangle is unique
-up to isomorphism, so any pairing yields an isomorphic result, and the
-identity keeps point indices reproducible.
+x <-> x' is the identity on edge labels, which keeps point indices
+reproducible.  :func:`build_h3` checks, for this pairing only, that every
+base triple's primed perp has 3 points and that the lines number 210; no
+other pairing is built or checked here.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ Exit codes: 0 success / all checks pass, 1 a check or comparison failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable
 
@@ -139,7 +140,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0 if report["all_pass"] else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first :func:`main` call and shared
+    by every later one: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="nearhex",
         description="Build and exhaustively verify the near hexagons grown from the (2,2) quadrangle.",

@@ -62,14 +62,15 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
         raise GeometryError("point labels must be distinct")
     seen = set()
     for line in lines:
-        if not isinstance(line, list) or not all(type(p) is int for p in line):
+        if not isinstance(line, list) or not set(map(type, line)) <= {int}:
             raise GeometryError(f"bad line entry: {line!r}")
-        if len(set(line)) != len(line):
+        members = frozenset(line)
+        if len(members) != len(line):
             raise GeometryError(f"line {line!r} repeats a point")
-        if frozenset(line) in seen:
+        if members in seen:
             raise GeometryError(f"line {line!r} is given twice")
-        seen.add(frozenset(line))
-    return name, Geometry(len(ids), tuple(tuple(l) for l in lines), tuple(labels))
+        seen.add(members)
+    return name, Geometry(len(ids), tuple(map(tuple, lines)), tuple(labels))
 
 
 def dumps(doc: Any) -> str:
@@ -82,6 +83,10 @@ def load_geometry(path: str) -> tuple[str, Geometry]:
             doc = json.load(fh)
     except OSError as exc:
         raise GeometryError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise GeometryError(f"{path} is not UTF-8: {exc}") from exc
+    except ValueError as exc:  # a JSON syntax error, or an integer too long to convert
         raise GeometryError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GeometryError(f"{path} nests too deeply to read: {exc}") from exc
     return document_to_geometry(doc)

@@ -349,3 +349,56 @@ def test_report_judges_w2_against_its_expected_facts(monkeypatch, capsys):
     assert code == 1
     failed = [c for c in json.loads(out)["criteria"] if c["verdict"] == "fail"]
     assert [(c["criterion"], c["witnesses"]) for c in failed] == [(1, [f"w2 params: {witness}"])]
+
+
+UNREADABLE = {
+    # a Latin-1 name: the byte 0xe9 does not start a UTF-8 sequence
+    "not-utf8": (b'{"name": "caf\xe9", "points": [], "lines": []}', "is not UTF-8"),
+    # the JSON decoder recurses once per level and gives up long before this
+    "deeply-nested": (b"[" * 200_000 + b"]" * 200_000, "nests too deeply"),
+    # Python refuses to convert integers of more than 4300 digits
+    "long-integer": (b'{"name": "x", "points": [], "lines": [' + b"1" * 5000 + b"]}", "is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_unreadable_files_are_input_errors(tmp_path, capsys, kind):
+    content, expected = UNREADABLE[kind]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(GeometryError, match=expected):
+        load_geometry(str(bad))
+    good = tmp_path / "w2.json"
+    run(capsys, "build", "--model", "w2", "--out", str(good))
+    for first, second in ((good, bad), (bad, good)):
+        code, out, err = run(capsys, "iso", str(first), str(second))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad} ") and expected in err
+        assert err.count("\n") == 1
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # argparse keeps no state between parse_args calls, so the parser built
+    # at the first call gives every later call what a fresh one would
+    from nearhex import cli
+
+    a, b = tmp_path / "h3.json", tmp_path / "part.json"
+    run(capsys, "build", "--model", "h3", "--out", str(a))
+    run(capsys, "build", "--model", "h3-partition", "--out", str(b))
+    calls = [
+        ["frobnicate"],
+        ["build"],
+        ["--help"],
+        ["iso", str(a), str(b)],
+        ["iso", str(a), str(b)],
+        ["verify", "--model", "w2"],
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 2, 0, 0, 0, 0]
+    assert "invalid choice: 'frobnicate'" in shared[0][2]
+    assert "--model" in shared[1][2]
+    assert shared[2][1].startswith("usage: nearhex ")
+    assert shared[3] == shared[4]
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in calls] == shared
