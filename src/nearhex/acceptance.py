@@ -33,7 +33,7 @@ from .gq22 import (
     incomplete_triad_subgq,
     is_gq,
 )
-from .iso import IsoVerdict, are_isomorphic, are_isomorphic_to
+from .iso import IsoVerdict, _mapping_ok, are_isomorphic, are_isomorphic_to
 from .verify import EXPECTED, Check, line_distance_profiles, run_check
 
 HEX_PROFILES = {(1, 2, 2), (2, 3, 3)}
@@ -193,15 +193,10 @@ def criterion_8(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
     counts = {}
 
     def record(name_a: str, name_b: str, verdict: IsoVerdict) -> None:
-        a, b = models[name_a], models[name_b]
         name = f"{name_a}~{name_b}"
         c.expect(verdict.isomorphic, f"{name}: {verdict.detail}")
         if verdict.mapping is not None:
-            lines_b = b.line_set
-            carried = all(
-                tuple(sorted(verdict.mapping[p] for p in line)) in lines_b
-                for line in a.lines
-            )
+            carried = _mapping_ok(models[name_a].lines, models[name_b].line_set, verdict.mapping)
             c.expect(carried, f"{name}: returned bijection does not carry lines")
         counts[name] = verdict.isomorphic
 

@@ -10,9 +10,9 @@
 
 The two copies of the base quadrangle share the ground set, and the pairing
 x <-> x' is the identity on edge labels, which keeps point indices
-reproducible.  :func:`build_h3` checks, for this pairing only, that every
-base triple's primed perp has 3 points and that the lines number 210; no
-other pairing is built or checked here.
+reproducible.  Each builder's docstring names the facts it checks; what
+its definition already guarantees is not checked again.  :func:`build_h3`
+checks this pairing only; no other pairing is built or checked here.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .geometry import Geometry, GeometryError, perp, validate_pls
-from .gq22 import EDGES, EDGE_INDEX, Triad, build_w2, enumerate_triads
+from .geometry import Geometry, GeometryError, bits_of, validate_pls
+from .gq22 import EDGES, EDGE_INDEX, Triad, _classify_triad, build_w2, enumerate_triads
 from .labels import Edge, OrderedPair, Pair, Partition, PrimedEdge, perp_related
 
 
@@ -30,39 +30,30 @@ def _require(cond: bool, message: str) -> None:
         raise GeometryError("construction failure: " + message)
 
 
-def _base_triples(w2: Geometry) -> list[tuple[int, int, int]]:
-    """The 35 base triples: the 15 lines plus the 20 complete point triads."""
-    triples = [tuple(line) for line in w2.lines]
-    triples += [
-        t.elements for t in enumerate_triads(w2, "points") if t.kind == "complete"
-    ]
-    return triples
-
-
 def build_h3() -> Geometry:
     """Build the 105-point near hexagon with Pair labels.
 
-    For each base triple T (a line or a complete triad), the perp of its
-    primed copy is again a 3-set T'^perp, and every bijection T -> T'^perp
-    contributes one line.  All 6 bijections per triple survive the point
-    membership condition, giving 35 * 6 = 210 pairwise distinct lines; both
-    facts are checked here rather than assumed.
+    The points are the pairs (x, u') with u' in x'^perp, the mask
+    ``cross[x]``.  Each of the 35 base triples T (15 lines, 20 complete
+    triads) has T'^perp, the AND of three cross masks, and every bijection
+    T -> T'^perp gives one line.  Checked: 35 triples, 3 points in each
+    T'^perp, 210 distinct lines, 6 lines per point, partial linear space.
     """
     w2 = build_w2()
-    # point order: (x, u') with u' in x'^perp
-    points = [(x, u) for x in range(15) for u in sorted(perp(w2, (x,)))]
+    cross = [a | 1 << x for x, a in enumerate(w2.adjacency)]
+    points = [(x, u) for x in range(15) for u in bits_of(cross[x])]
     index = {p: i for i, p in enumerate(points)}
+    triples = list(w2.lines)
+    triples += [t.elements for t in enumerate_triads(w2, "points") if t.kind == "complete"]
+    _require(len(triples) == 35, f"expected 35 base triples, got {len(triples)}")
     lines = set()
-    for t in _base_triples(w2):
-        t_perp = sorted(perp(w2, t))
+    for t in triples:
+        a, b, c = t
+        t_perp = bits_of(cross[a] & cross[b] & cross[c])
         _require(len(t_perp) == 3, f"base triple {t} has perp of size {len(t_perp)}")
         for sigma in permutations(t_perp):
-            for x, u in zip(t, sigma):
-                _require((x, u) in index, f"candidate pair ({x},{u}) is not a point")
-            line = tuple(sorted(index[(x, u)] for x, u in zip(t, sigma)))
-            _require(line not in lines, f"duplicate line {line}")
-            lines.add(line)
-    _require(len(lines) == 210, f"expected 210 lines, got {len(lines)}")
+            lines.add(tuple(sorted(index[p] for p in zip(t, sigma))))
+    _require(len(lines) == 210, f"expected 210 distinct lines, got {len(lines)}")
     labels = tuple(
         Pair(Edge(EDGES[x]), PrimedEdge(EDGES[u])) for x, u in points
     )
@@ -78,7 +69,9 @@ def build_dsp62(h3: Geometry) -> Geometry:
 
     Points 0..104 are the hexagon's points, 105..119 the plain edges,
     120..134 the primed edges; the new lines are {x, (x,u'), u'}, one per
-    hexagon point.
+    hexagon point.  Checked: 315 lines, partial linear space, 7 lines per
+    point, and plain x collinear with primed u' iff perp-related (a new
+    line holds one point of each side, so no two of one side meet).
     """
     if h3.point_count != 105 or h3.labels is None:
         raise GeometryError("input must be the 105-point hexagon with Pair labels")
@@ -100,17 +93,12 @@ def build_dsp62(h3: Geometry) -> Geometry:
     degrees = {len(t) for t in g.lines_by_point}
     _require(degrees == {7}, f"lines per point {sorted(degrees)}, expected {{7}}")
     adj = g.adjacency
-    for a in range(105, 135):
-        for b in range(a + 1, 135):
-            same_side = (a < 120) == (b < 120)
-            if same_side:
-                _require(not adj[a] >> b & 1, f"{a} and {b} must not be collinear")
-            else:
-                expected = perp_related(labels[a].ends, labels[b].ends)
-                _require(
-                    bool(adj[a] >> b & 1) == expected,
-                    f"cross collinearity wrong for {a},{b}",
-                )
+    for a in range(105, 120):
+        for b in range(120, 135):
+            _require(
+                bool(adj[a] >> b & 1) == perp_related(labels[a].ends, labels[b].ends),
+                f"cross collinearity wrong for {a},{b}",
+            )
     return g
 
 
@@ -128,7 +116,8 @@ def _matchings(items: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
 
 def build_h3_partitions() -> Geometry:
     """The partition model: points are the 105 perfect matchings of an
-    8-set, lines are the triples of matchings sharing two blocks."""
+    8-set, lines are the triples of matchings sharing two blocks.  Checked:
+    105 matchings, 3 per pair of blocks, 210 lines, partial linear space."""
     points = sorted(_matchings(tuple(range(1, 9))))
     index = {m: i for i, m in enumerate(points)}
     _require(len(points) == 105, f"expected 105 matchings, got {len(points)}")
@@ -174,7 +163,11 @@ class DebruynCensus:
 
 def debruyn_census() -> DebruynCensus:
     """Build the flag model, keeping per-type line counts and the triads
-    behind the swap-type lines."""
+    behind the swap-type lines.  Checked: 105 points, no line twice in a
+    type, unique mates y', z' of each escort x', y' and z' non-collinear
+    (x' is not collinear with either by choice), escort perps of 1 or 3
+    points, line counts by type, 210 distinct lines, partial linear space.
+    """
     w2 = build_w2()
     adj = w2.adjacency
     points = [(x, x) for x in range(15)]
@@ -224,12 +217,8 @@ def debruyn_census() -> DebruynCensus:
                 f"non-collinear mate of {xp} not unique in triad {triad.elements}",
             )
             yp, zp = yps[0], zps[0]
-            for a, b in ((xp, yp), (xp, zp), (yp, zp)):
-                _require(not adj[a] >> b & 1, f"escort triple {xp},{yp},{zp} not a triad")
-            p = perp(w2, (xp, yp, zp))
-            kind = {3: "complete", 1: "incomplete"}.get(len(p))
-            _require(kind is not None, f"escort perp has size {len(p)}")
-            escorts.append(Triad(tuple(sorted((xp, yp, zp))), kind, p))
+            _require(not adj[yp] >> zp & 1, f"escort triple {xp},{yp},{zp} not a triad")
+            escorts.append(_classify_triad(w2, tuple(sorted((xp, yp, zp))), "points"))
             emit("iv", [(x, xp), (y, yp), (z, zp)])
 
     counts = {k: len(v) for k, v in by_type.items()}

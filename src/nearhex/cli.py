@@ -113,18 +113,12 @@ def cmd_iso(args: argparse.Namespace) -> int:
     name_b, gb = load_geometry(args.b)
     verdict = are_isomorphic(ga, gb)
     if verdict.isomorphic:
-        mapping = verdict.mapping or ()
-        table = {}
-        la = ga.labels or tuple(str(i) for i in range(ga.point_count))
-        lb = gb.labels or tuple(str(i) for i in range(gb.point_count))
-        for p, q in enumerate(mapping):
-            table[str(la[p])] = str(lb[q])
         doc = {
             "a": name_a,
             "b": name_b,
             "verdict": "isomorphic",
             "detail": verdict.detail,
-            "mapping": table,
+            "mapping": {ga.labels[p]: gb.labels[q] for p, q in enumerate(verdict.mapping)},
         }
         _write(dumps(doc), args.out)
         return 0

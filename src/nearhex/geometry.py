@@ -21,6 +21,13 @@ class GeometryError(ValueError):
     """An operation was applied outside its stated domain."""
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, cut after 80 characters so that
+    one large input value still gives a short message."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -62,7 +69,7 @@ class Geometry:
         # an index must be a plain int: a bool or a float would be read as
         # another point, or fail later with a bare TypeError
         if type(self.point_count) is not int:
-            raise GeometryError(f"point count {self.point_count!r} is not an integer")
+            raise GeometryError(f"point count {_shown(self.point_count)} is not an integer")
         if self.point_count < 0:
             raise GeometryError("negative point count")
         seen = set()
@@ -70,12 +77,12 @@ class Geometry:
         for line in self.lines:
             for p in line:
                 if type(p) is not int:
-                    raise GeometryError(f"point index {p!r} is not an integer")
+                    raise GeometryError(f"point index {_shown(p)} is not an integer")
             pts = tuple(sorted(set(line)))
             if len(pts) < 2:
-                raise GeometryError(f"line with fewer than 2 points: {line!r}")
+                raise GeometryError(f"line with fewer than 2 points: {_shown(line)}")
             if pts[0] < 0 or pts[-1] >= self.point_count:
-                raise GeometryError(f"line {line!r} has out-of-range point index")
+                raise GeometryError(f"line {_shown(line)} has out-of-range point index")
             if pts not in seen:
                 seen.add(pts)
                 canon.append(pts)
@@ -296,9 +303,9 @@ def _check_indices(indices: Iterable[int], count: int, kind: str) -> list[int]:
     out = []
     for i in indices:
         if type(i) is not int:
-            raise GeometryError(f"{kind} index {i!r} is not an integer")
+            raise GeometryError(f"{kind} index {_shown(i)} is not an integer")
         if not 0 <= i < count:
-            raise GeometryError(f"{kind} index {i} out of range")
+            raise GeometryError(f"{kind} index {_shown(i)} out of range")
         out.append(i)
     return out
 

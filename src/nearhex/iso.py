@@ -523,7 +523,7 @@ class _Walker:
         return _refine(self.nbrs, part, splitters, self.guide.traces[depth], True)
 
     def _leaf(self, part: _Partition, path: tuple[int, ...]) -> None:
-        lab = part.lab
+        lab, pos = part.lab, part.pos
         if self.guide is not None:
             mapping = [0] * self.n_points
             for v, w in zip(self.guide.lab[: self.n_points], lab):
@@ -533,9 +533,6 @@ class _Walker:
                 raise _PruneTo(-1)
         if self.first is not None:
             self._try_automorphism(lab, path, self.first)
-        pos = [0] * self.n
-        for position, v in enumerate(lab):
-            pos[v] = position
         cert = tuple(sorted(tuple(sorted(pos[p] for p in line)) for line in self.lines))
         if self.first is None:
             self.first = self.best = _Leaf(cert, lab, pos, path)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .geometry import Geometry, GeometryError
+from .geometry import Geometry, GeometryError, _shown
 
 
 def geometry_to_document(g: Geometry, name: str) -> dict:
@@ -43,17 +43,17 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
     except (KeyError, TypeError) as exc:
         raise GeometryError(f"geometry document missing field: {exc}") from exc
     if type(name) is not str:
-        raise GeometryError(f"'name' must be a string, not {name!r}")
+        raise GeometryError(f"'name' must be a string, not {_shown(name)}")
     if not isinstance(points, list) or not isinstance(lines, list):
         raise GeometryError("'points' and 'lines' must be arrays")
     ids = []
     labels = []
     for entry in points:
         if not isinstance(entry, dict) or type(entry.get("id")) is not int:
-            raise GeometryError(f"bad point entry: {entry!r}")
+            raise GeometryError(f"bad point entry: {_shown(entry)}")
         label = entry.get("label", str(entry["id"]))
         if type(label) is not str:
-            raise GeometryError(f"point label must be a string: {entry!r}")
+            raise GeometryError(f"point label must be a string: {_shown(entry)}")
         ids.append(entry["id"])
         labels.append(label)
     if ids != list(range(len(ids))):
@@ -63,12 +63,12 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
     seen = set()
     for line in lines:
         if not isinstance(line, list) or not set(map(type, line)) <= {int}:
-            raise GeometryError(f"bad line entry: {line!r}")
+            raise GeometryError(f"bad line entry: {_shown(line)}")
         members = frozenset(line)
         if len(members) != len(line):
-            raise GeometryError(f"line {line!r} repeats a point")
+            raise GeometryError(f"line {_shown(line)} repeats a point")
         if members in seen:
-            raise GeometryError(f"line {line!r} is given twice")
+            raise GeometryError(f"line {_shown(line)} is given twice")
         seen.add(members)
     return name, Geometry(len(ids), tuple(map(tuple, lines)), tuple(labels))
 
@@ -77,10 +77,25 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """One JSON object, read by ``json.load``: a key given twice is an
+    error, where ``json`` would keep the last value and so rewrite it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise GeometryError(f"repeats the key {_shown(key)} in one object")
+            seen.add(key)
+    return obj
+
+
 def load_geometry(path: str) -> tuple[str, Geometry]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_object)
+    except GeometryError as exc:  # a repeated key, from _object
+        raise GeometryError(f"{path} {exc}") from exc
     except OSError as exc:
         raise GeometryError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

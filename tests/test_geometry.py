@@ -45,24 +45,34 @@ def test_geometry_rejects_short_and_out_of_range_lines():
 
 @pytest.mark.parametrize(
     "count, lines",
-    [(3, ((True, 2),)), (3, ((0.0, 1.0),)), (3, ((0, 1), (1, "2"))), (3.0, ()), (True, ())],
+    [
+        (3, ((True, 2),)), (3, ((0.0, 1.0),)), (3, ((0, 1), (1, "2"))), (3.0, ()), (True, ()),
+        (3, (("x" * 5000, 1),)), ("x" * 5000, ()),
+    ],
 )
 def test_geometry_rejects_indices_that_are_not_integers(count, lines):
-    with pytest.raises(GeometryError, match="is not an integer"):
+    """The message shows at most 80 characters of a long value."""
+    with pytest.raises(GeometryError, match="is not an integer") as info:
         Geometry(count, lines)
+    assert len(str(info.value)) < 120
 
 
-@pytest.mark.parametrize("points", [[True], [True, 2], [1.0], [2, 1.0], [1, 99], [-1, 3]])
+@pytest.mark.parametrize(
+    "points", [[True], [True, 2], [1.0], [2, 1.0], [1, 99], [-1, 3], ["x" * 5000], [10**200]]
+)
 def test_point_arguments_reject_indices_that_are_not_integers(w2, points):
     """Functions of a point set take ``points``; those of a point pair take
-    its first and last entry."""
+    its first and last entry.  The message shows at most 80 characters of a
+    long value."""
     error = "out of range" if all(type(p) is int for p in points) else "is not an integer"
     for call in (perp, is_subspace, is_geometric_hyperplane, convex_closure, is_gq, induced_geometry):
-        with pytest.raises(GeometryError, match=error):
+        with pytest.raises(GeometryError, match=error) as info:
             call(w2, points)
+        assert len(str(info.value)) < 120
     for call in (collinear, complete_triad_through):
-        with pytest.raises(GeometryError, match=error):
+        with pytest.raises(GeometryError, match=error) as info:
             call(w2, points[0], points[-1])
+        assert len(str(info.value)) < 120
 
 
 def test_validate_pls_accepts_w2(w2):

@@ -44,6 +44,7 @@ from nearhex.iso import (
     _guide,
     _incidence_neighbours,
     _invariant_mismatch,
+    _mapping_ok,
     _Partition,
     _refine,
     _Walker,
@@ -537,6 +538,16 @@ def test_is_automorphism_rejects_a_swap(w2, h3, h3_partitions, h3_debruyn, dsp):
         swap = [1, 0, *range(2, n_points)]
         assert relabel(g, swap).line_set != g.line_set  # no automorphism swaps 0 and 1 alone
         assert not walker._is_automorphism(swap + list(range(n_points, walker.n)))
+
+
+def test_mapping_ok_rejects_a_map_that_is_not_injective():
+    """[0, 1, 0, 1] carries each of two disjoint 2-point lines onto a line,
+    yet two points share each image, so it is no bijection."""
+    lines = [(0, 1), (2, 3)]
+    mapping = [0, 1, 0, 1]
+    assert all(tuple(sorted(mapping[p] for p in line)) in lines for line in lines)
+    assert not _mapping_ok(lines, frozenset(lines), mapping)
+    assert _mapping_ok(lines, frozenset(lines), [2, 3, 0, 1])
 
 
 @given(st.sampled_from([cyclic_sts13(), pg32_sts15()]).flatmap(

@@ -1,6 +1,8 @@
 """Reading geometry documents: the message for each malformed line, which
-fault is reported when two lines are malformed, and a differential check of
-``document_to_geometry`` against the two-pass line loop it replaced."""
+fault is reported when two lines are malformed, a differential check of
+``document_to_geometry`` against the two-pass line loop it replaced, the
+message for a JSON key given twice, and the cut of a long value in a
+message."""
 
 from itertools import permutations
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearhex import Geometry, GeometryError
-from nearhex.jsonio import document_to_geometry
+from nearhex.jsonio import document_to_geometry, load_geometry
 
 # Each fault is one line added after the good line [0, 1, 2] of a document
 # on the four points 0..3.  "read" faults are found while the lines are
@@ -62,6 +64,72 @@ def test_two_faulty_lines_report_the_first_read_fault(first, second):
     else:
         expected = message_b
     assert message(document(line_a, line_b)) == expected
+
+
+# a key given twice, at the top, in a point, beside the lines, and in an
+# object that nothing reads
+REPEATED_KEYS = {
+    "name": '{"name": "a", "name": "b", "points": [], "lines": []}',
+    "label": '{"name": "a", "points": [{"id": 0, "label": "p", "label": "q"}], "lines": []}',
+    "lines": '{"name": "a", "points": [], "lines": [], "lines": [[0, 1]]}',
+    "k": '{"name": "a", "points": [{"id": 0, "extra": [{"k": 1, "k": 1}]}], "lines": []}',
+}
+
+
+@pytest.mark.parametrize("key", REPEATED_KEYS)
+def test_a_repeated_key_is_an_input_error(tmp_path, key):
+    path = tmp_path / "doc.json"
+    path.write_text(REPEATED_KEYS[key])
+    with pytest.raises(GeometryError) as info:
+        load_geometry(str(path))
+    assert str(info.value) == f"{path} repeats the key '{key}' in one object"
+    # the same key in two objects is no repeat
+    path.write_text('{"name": "a", "points": [{"id": 0, "label": "p"}, {"id": 1, "label": "q"}], "lines": []}')
+    assert load_geometry(str(path))[1].labels == ("p", "q")
+
+
+def test_a_long_value_is_cut_after_80_characters():
+    assert message(document([True, *range(1, 2000)])) == (
+        "bad line entry: [True, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21..."
+    )
+    # a value of 80 characters is shown whole, one of 81 is cut
+    line = [True, 10, 10, *[1] * 22]
+    assert len(repr(line)) == 80
+    assert message(document(line)) == f"bad line entry: {line!r}"
+    assert message(document([*line, 1])) == f"bad line entry: {repr([*line, 1])[:80]}..."
+
+
+LONG = list(range(1000))
+
+
+def cut(value):
+    return repr(value)[:80] + "..."
+
+
+# a long value in each message that shows one
+LONG_VALUES = {
+    "name": ({"name": LONG, "points": [], "lines": []}, f"'name' must be a string, not {cut(LONG)}"),
+    "point": ({"name": "x", "points": [{"id": LONG}], "lines": []}, f"bad point entry: {cut({'id': LONG})}"),
+    "label": (
+        {"name": "x", "points": [{"id": 0, "label": LONG}], "lines": []},
+        f"point label must be a string: {cut({'id': 0, 'label': LONG})}",
+    ),
+    "line": (document(["1", *LONG]), f"bad line entry: {cut(['1', *LONG])}"),
+    "repeated-point": (document([0] * 1000), f"line {cut([0] * 1000)} repeats a point"),
+    "given-twice": (
+        {"name": "x", "points": [{"id": i} for i in LONG], "lines": [LONG, LONG[::-1]]},
+        f"line {cut(LONG[::-1])} is given twice",
+    ),
+    "one-point": (document([10**4000]), f"line with fewer than 2 points: {cut((10**4000,))}"),
+    "out-of-range": (document(LONG), f"line {cut(tuple(LONG))} has out-of-range point index"),
+}
+
+
+@pytest.mark.parametrize("fault", LONG_VALUES)
+def test_each_message_cuts_a_long_value(fault):
+    doc, expected = LONG_VALUES[fault]
+    assert message(doc) == expected
+    assert len(expected) < 130
 
 
 def reference_document_to_geometry(doc):
