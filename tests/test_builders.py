@@ -1,17 +1,28 @@
 """The four labelled geometries, including the worked micro-examples."""
 
+import random
+import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
+import nearhex.builders
 from nearhex import (
+    Geometry,
     GeometryError,
+    are_isomorphic,
     build_dsp62,
+    build_h3_partitions,
+    canonical_form,
+    enumerate_triads,
     validate_pls,
 )
+from nearhex.geometry import bits_of
 from nearhex.gq22 import EDGE_INDEX
 from nearhex.labels import Edge, OrderedPair, Pair, Partition, PrimedEdge
+
+from strategies import pg32_sts15
 
 
 def eidx(name):
@@ -141,9 +152,63 @@ def test_dsp_cross_collinearity_matches_membership(dsp, h3):
             assert bool(adj[a] >> b & 1) == expected
 
 
+def _relabeled(h3, i, label):
+    labels = list(h3.labels)
+    labels[i] = label
+    return Geometry(105, h3.lines, tuple(labels))
+
+
+def _triad_line(h3):
+    """Three pairwise non-collinear points of ``h3`` off its first line, to
+    stand in for that line."""
+    adj, first = h3.adjacency, set(h3.lines[0])
+    for t in combinations(range(105), 3):
+        a, b, c = t
+        if first.isdisjoint(t) and not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1):
+            return t
+    raise AssertionError("no triad")
+
+
 def test_dsp_rejects_wrong_input(w2):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="^input must be the 105-point hexagon with Pair labels$"):
         build_dsp62(w2)
+
+
+BAD_HEXAGONS = {
+    "no labels": (
+        lambda h3: Geometry(105, h3.lines),
+        "input must be the 105-point hexagon with Pair labels",
+    ),
+    "edge label": (
+        lambda h3: _relabeled(h3, 3, Edge(frozenset({1, 2}))),
+        "point 3 lacks a Pair label",
+    ),
+    "not perp-related": (
+        lambda h3: _relabeled(h3, 3, Pair(Edge(frozenset({1, 2})), PrimedEdge(frozenset({1, 3})))),
+        "construction failure: point 3 label (12,13') is not perp-related",
+    ),
+    "repeated label": (
+        lambda h3: _relabeled(h3, 1, h3.labels[0]),
+        "construction failure: two lines share two points",
+    ),
+    "too few lines": (
+        lambda h3: Geometry(105, h3.lines[1:], h3.labels),
+        "construction failure: expected 315 lines, got 314",
+    ),
+    "uneven lines per point": (
+        lambda h3: Geometry(105, h3.lines[1:] + (_triad_line(h3),), h3.labels),
+        "construction failure: lines per point [6, 7, 8], expected {7}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_HEXAGONS)
+def test_dsp_input_check_fires(h3, case):
+    """Each check on ``build_dsp62``'s input fires on a hexagon changed in
+    one place, with its own message."""
+    make, message = BAD_HEXAGONS[case]
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        build_dsp62(make(h3))
 
 
 # ---- the partition model ------------------------------------------------
@@ -174,6 +239,20 @@ def test_partition_line_sharing_12_34(h3_partitions):
         "{12,34,57,68}",
         "{12,34,58,67}",
     ]
+
+
+def test_partitions_reject_a_repeated_matching(monkeypatch):
+    original = nearhex.builders._matchings
+
+    def repeating(items):
+        out = original(items)
+        if len(items) == 8:
+            out[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(nearhex.builders, "_matchings", repeating)
+    with pytest.raises(GeometryError, match="^construction failure: expected 105 matchings, got 104$"):
+        build_h3_partitions()
 
 
 # ---- the flag model -----------------------------------------------------
@@ -258,3 +337,115 @@ def test_determinism_of_builders(h3, h3_partitions, h3_debruyn, dsp):
     assert build_h3_partitions() == h3_partitions
     assert build_h3_debruyn() == h3_debruyn
     assert build_dsp62(build_h3()) == dsp
+
+
+# ---- the pairing of the two copies --------------------------------------
+
+
+def _cross(w2):
+    """Per point x of W(2), the mask of its perp x^perp, x included."""
+    return [a | 1 << x for x, a in enumerate(w2.adjacency)]
+
+
+def _base_triples(w2):
+    """W(2)'s 15 lines and 20 complete triads."""
+    complete = [t.elements for t in enumerate_triads(w2, "points") if t.kind == "complete"]
+    return list(w2.lines) + complete
+
+
+def _glued(w2, pi):
+    """The construction along the pairing x <-> pi[x]': the points are the
+    pairs (x, u') with u' in pi[x]'^perp, and each base triple T of the
+    first copy gives one line per bijection of T onto pi(T)'^perp.  None
+    when some pi(T)'^perp does not have 3 points."""
+    cross = _cross(w2)
+    points = [(x, u) for x in range(15) for u in bits_of(cross[pi[x]])]
+    index = {p: i for i, p in enumerate(points)}
+    lines = []
+    for t in _base_triples(w2):
+        a, b, c = (pi[x] for x in t)
+        t_perp = bits_of(cross[a] & cross[b] & cross[c])
+        if len(t_perp) != 3:
+            return None
+        lines += [tuple(index[p] for p in zip(t, sigma)) for sigma in permutations(t_perp)]
+    return Geometry(len(points), tuple(lines))
+
+
+def _third_points(triples):
+    """``third[x, y]``, the third point of the triple through x and y."""
+    return {(x, y): z for t in triples for x, y, z in permutations(t)}
+
+
+def _collineations(triples):
+    """Every bijection of 0..14 carrying ``triples``, the lines of PG(3,2),
+    onto themselves.  The third points of lines through points already
+    reached reach every point from a frame, four points in general
+    position; so each collineation is fixed by the frame's image, which is
+    a frame again, and every frame's image is tried."""
+    third = _third_points(triples)
+
+    def plane(a, b, c):
+        line = {a, b, third[a, b]}
+        return line | {c} | {third[p, c] for p in line}
+
+    everything = set(range(15))
+    f3 = min(everything - {0, 1, third[0, 1]})
+    frame = (0, 1, f3, min(everything - plane(0, 1, f3)))
+    reached, steps = list(frame), []
+    for i, p in enumerate(reached):  # grows as third points are reached
+        for q in reached[:i]:
+            if third[p, q] not in reached:
+                steps.append((third[p, q], p, q))
+                reached.append(third[p, q])
+    assert len(reached) == 15
+    for q1, q2 in permutations(range(15), 2):
+        for q3 in everything - {q1, q2, third[q1, q2]}:
+            for q4 in everything - plane(q1, q2, q3):
+                image = dict(zip(frame, (q1, q2, q3, q4)))
+                for k, p, q in steps:
+                    image[k] = third[image[p], image[q]]
+                yield tuple(image[x] for x in range(15))
+
+
+def test_base_triples_are_the_3_sets_with_a_3_point_perp(w2):
+    """Of W(2)'s 455 3-sets, exactly its 15 lines and 20 complete triads
+    have 3 points in their perp, and they are the lines of PG(3,2)."""
+    cross = _cross(w2)
+    found = {
+        (a, b, c)
+        for a, b, c in combinations(range(15), 3)
+        if (cross[a] & cross[b] & cross[c]).bit_count() == 3
+    }
+    triples = _base_triples(w2)
+    assert len(triples) == len(set(triples)) == 35
+    assert found == set(triples)
+    assert are_isomorphic(Geometry(15, tuple(triples)), pg32_sts15()).isomorphic
+
+
+def test_pairings_that_keep_the_construction_defined(w2, h3):
+    """The pairings x <-> pi[x]' along which every base triple of the first
+    copy keeps a 3-point perp are the 20,160 collineations of the base
+    triples.  720 of them are automorphisms of W(2), and by W(2) lines kept
+    they split 720 / 10,800 / 8,640; the construction along one of each
+    class is isomorphic to h3.  A random bijection breaks it."""
+    triples = _base_triples(w2)
+    third, w2_third = _third_points(triples), _third_points(w2.lines)
+    pairings = list(_collineations(triples))
+    assert len(set(pairings)) == len(pairings) == 20160
+    assert canonical_form(Geometry(15, tuple(triples))).aut_order == 20160
+    kept = {}
+    for pi in pairings:
+        assert len(set(pi)) == 15
+        assert all(third[pi[a], pi[b]] == pi[c] for a, b, c in triples)
+        n = sum(w2_third.get((pi[a], pi[b])) == pi[c] for a, b, c in w2.lines)
+        kept.setdefault(n, []).append(pi)
+    assert {n: len(group) for n, group in kept.items()} == {15: 720, 7: 10800, 5: 8640}
+    assert _glued(w2, range(15)) == Geometry(105, h3.lines)
+    for group in kept.values():
+        assert are_isomorphic(_glued(w2, group[-1]), h3).isomorphic
+    rng = random.Random(2006)
+    pairing_set = set(pairings)
+    for _ in range(50):
+        pi = rng.sample(range(15), 15)
+        assert tuple(pi) not in pairing_set
+        assert _glued(w2, pi) is None
