@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, NamedTuple
 
 UNREACHABLE = -1
+
+#: per bit ``k``, the byte table that maps a byte to its bit ``k`` (0 or 1)
+_BIT_FLAGS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 
 
 class GeometryError(ValueError):
@@ -444,14 +447,20 @@ def _closure_groups(g: Geometry, held: list[int]) -> list[tuple[list[int], int, 
     of them and no edge between two of them, as at every point of a near
     polygon -- that is every pair of its neighbours, so ``z`` takes the
     seeds holding two of them by one once/twice OR pass; any other point
-    walks the list of its neighbour pairs that force it.  A point gathers
-    again only when a neighbour has grown, until none grows.  A sweep then
-    reads each distinct closure once off the masks, starting from its
-    lowest seed not yet placed, and gives it the seeds held by all its
-    points whose closures have as many points, counted for every seed at
-    once on bit-sliced planes.  Pairs at distance ``>= 3`` are checked once
-    per distinct closure, off a per-point mask of the points at distance
-    ``>= 3``; an interval that adds points sends them back to the gather,
+    walks the list of its neighbour pairs that force it.  The points are
+    visited in increasing order, and a point gathers again only when a
+    neighbour has grown after its visit, until none grows: a neighbour
+    still to come in the round reads the growth there.  A sweep then reads
+    each distinct closure once off the masks, starting from its lowest
+    seed ``j`` not yet placed: all masks are joined into one buffer of
+    ``width`` bytes per point, so byte ``j // 8`` of every point is the
+    strided column ``buf[j // 8 :: width]``, which one ``bytes.translate``
+    turns into 0/1 flags for ``itertools.compress``.  The closure gets the
+    seeds held by all its points whose closures have as many points,
+    counted for every seed at once on bit-sliced planes.  Pairs at distance
+    ``>= 3`` are checked once per distinct closure, off a per-point mask of
+    the points at distance ``>= 3``, which misses a quad at each of its
+    points; an interval that adds points sends them back to the gather,
     and the pass ends when the far pairs add nothing.
     """
     n = g.point_count
@@ -504,12 +513,14 @@ def _closure_groups(g: Geometry, held: list[int]) -> list[tuple[list[int], int, 
                         twice |= held[a] & held[b]
                 if twice & ~held[z]:
                     held[z] |= twice
-                    grown |= adj[z]
+                    # the neighbours still to come this round read it there
+                    grown |= adj[z] & ~(todo & -2 << z)
             todo = grown
-        # one sweep per distinct closure reads its points off a byte view
-        # of each mask, and the seeds sharing it: those held by every
-        # member whose closure has as many points, read off bit-sliced
-        # column counts (bit j of planes[i] is bit i of seed j's count)
+        # one sweep per distinct closure reads its points off one strided
+        # byte column of all masks, and the seeds sharing it: those held by
+        # every member whose closure has as many points, read off
+        # bit-sliced column counts (bit j of planes[i] is bit i of seed j's
+        # count)
         groups = []
         planes: list[int] = []
         for h in held:
@@ -522,33 +533,40 @@ def _closure_groups(g: Geometry, held: list[int]) -> list[tuple[list[int], int, 
                 if h:
                     planes.append(h)
         width = (everyone.bit_length() + 7) >> 3
-        views = [h.to_bytes(width, "little") for h in held]
+        buf = b"".join([h.to_bytes(width, "little") for h in held])
         unplaced = everyone
         while unplaced:
             j = (unplaced & -unplaced).bit_length() - 1
-            byte, bit = j >> 3, 1 << (j & 7)
-            members = [p for p, view in enumerate(views) if view[byte] & bit]
+            flags = buf[j >> 3 :: width].translate(_BIT_FLAGS[j & 7])
+            members = list(compress(range(n), flags))
             same = everyone
             for p in members:
                 same &= held[p]
             size = len(members)
             for i, plane in enumerate(planes):
                 same &= plane if size >> i & 1 else ~plane
-            unplaced &= ~same
+            # seed j lies in same; clearing it too, like queueing below only
+            # the points that grow, keeps every loop finite even if a
+            # member read goes wrong
+            unplaced &= ~(same | 1 << j)
             groups.append((members, mask_of(members), same))
         # each distinct closure adds, for the seeds sharing it, the
         # intervals of its own pairs at distance >= 3
         for members, inside, same in groups:
             for a in members:
+                far = far_masks[a] & inside
+                if not far:
+                    continue
                 layers = spheres[a]
-                for b in bits_of(far_masks[a] & inside & -2 << a):
+                for b in bits_of(far & -2 << a):
                     d = next(k for k in range(3, len(layers)) if layers[k] >> b & 1)
                     between = 0
                     for k in range(1, d):
                         between |= layers[k] & spheres[b][d - k]
                     for z in bits_of(between & ~inside):
-                        held[z] |= same
-                        todo |= adj[z]
+                        if same & ~held[z]:
+                            held[z] |= same
+                            todo |= adj[z]
         if not todo:
             return groups
 

@@ -67,8 +67,9 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
 
     Everything is read off ``g``'s bitmasks, so the induced geometry is
     never built: ``geometry._lines_inside`` lists its lines, each point's
-    neighbourhood is read off them, and :func:`_gq_axioms` decides.  Points
-    are checked as by ``geometry._check_points``.
+    neighbourhood is read off them, so is each inside line's one-point mask
+    (:func:`_one_point_masks`), and :func:`_gq_axioms` decides.  Points are
+    checked as by ``geometry._check_points``.
     """
     m = g.full_mask if points is None else mask_of(_check_points(g, points))
     inside = _lines_inside(g, bits_of(m), m)
@@ -77,14 +78,32 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
     for i in inside:
         for p in lines[i]:
             nbr[p] |= line_masks[i] & ~(1 << p)
-    return _gq_axioms(g, m, inside, nbr)
+    return _gq_axioms(g, m, inside, nbr, _one_point_masks(g, nbr, inside))
 
 
-def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr) -> GqVerdict:
+def _one_point_masks(g: Geometry, nbr, indices) -> dict[int, int]:
+    """Per line index in ``indices``, the line's points plus the points
+    collinear with exactly one of them, where ``nbr[p]`` is the
+    neighbourhood of point ``p``: the one-point mask of :func:`_gq_axioms`."""
+    lines, line_masks = g.lines, g.line_masks
+    out = {}
+    for i in indices:
+        once = twice = 0
+        for q in lines[i]:
+            near = nbr[q]
+            twice |= once & near
+            once |= near
+        out[i] = line_masks[i] | once & ~twice
+    return out
+
+
+def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr, one_point) -> GqVerdict:
     """The quadrangle axioms of :func:`is_gq` on the geometry induced on the
     point set ``m``, given as ``g``'s bitmasks: ``inside`` lists the indices
-    of its lines in increasing order, and ``nbr[p] & m`` is the neighbourhood
-    of each point ``p`` of it.
+    of its lines in increasing order, ``nbr[p] & m`` is the neighbourhood
+    of each point ``p`` of it, and ``one_point[i]`` is the one-point mask of
+    each line ``i`` of it (:func:`_one_point_masks`), which may be read off
+    any neighbourhoods that agree with ``nbr`` on ``m``.
 
     Counted with its ordered pairs, each line of ``k`` points gives
     ``k (k - 1)`` collinear pairs, so the set is a partial linear space
@@ -92,8 +111,9 @@ def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr) -> GqVerdict:
     the lines are walked for the first pair on two of them.  In a partial
     linear space with lines of ``s + 1`` points, a point with ``n``
     neighbours lies on ``n / s`` lines.  The one-point axiom is checked a
-    line at a time: the points off the line must lie in the neighbourhood
-    of exactly one of its points.
+    line at a time: every point of the set must lie in the line's
+    one-point mask.  A census of many sets builds the masks once for all
+    of them, so a line in several sets is not worked out again in each.
     """
     lines, line_masks = g.lines, g.line_masks
     valence = {p: (nbr[p] & m).bit_count() for p in bits_of(m)}
@@ -115,12 +135,7 @@ def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr) -> GqVerdict:
     if len(degrees) != 1:
         return GqVerdict(None, f"lines per point vary: {sorted(degrees)}")
     for li in inside:
-        once = twice = 0
-        for q in lines[li]:
-            near = nbr[q]
-            twice |= once & near
-            once |= near
-        bad = m & ~line_masks[li] & ~(once & ~twice)
+        bad = m & ~one_point[li]
         if bad:
             x = (bad & -bad).bit_length() - 1
             hits = (nbr[x] & line_masks[li]).bit_count()

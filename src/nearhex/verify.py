@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .geometry import (
@@ -32,7 +34,7 @@ from .geometry import (
     metrics,
     validate_pls,
 )
-from .gq22 import GqVerdict, _gq_axioms
+from .gq22 import GqVerdict, _gq_axioms, _one_point_masks
 from .labels import Edge, Pair, PrimedEdge, perp_related
 
 
@@ -116,7 +118,7 @@ class QuadRecord:
     witness: str | None = None
 
 
-def _classify_quad(g: Geometry, members: list[int], m: int) -> QuadRecord:
+def _classify_quad(g: Geometry, members: list[int], m: int, one_point) -> QuadRecord:
     """Classify a closure on ``g``'s bitmasks, without building the geometry
     it induces: its collinearity graph must have diameter 2 with no point
     collinear with all others, and the axioms of :func:`is_gq` then name
@@ -133,7 +135,9 @@ def _classify_quad(g: Geometry, members: list[int], m: int) -> QuadRecord:
     and lie in its sphere ``S_2``, which holds exactly when the closure is
     connected, of diameter 2, with no point collinear with all others.
     Only a closure that fails it runs :func:`_shape_witness`.  The lines
-    inside come from :func:`nearhex.geometry._lines_inside`.
+    inside come from :func:`nearhex.geometry._lines_inside`, and
+    ``one_point`` holds the one-point mask of each of them, read off
+    ``adjacency``: inside a subspace it agrees with the induced geometry's.
     """
     adj, spheres = g.adjacency, g.distance_spheres
     for p in members:
@@ -141,7 +145,7 @@ def _classify_quad(g: Geometry, members: list[int], m: int) -> QuadRecord:
         two = layers[2] if len(layers) > 2 else 0
         if not m & two or m & ~(adj[p] | two) != 1 << p:
             return QuadRecord(frozenset(members), "other", None, _shape_witness(g, members, m))
-    verdict: GqVerdict = _gq_axioms(g, m, _lines_inside(g, members, m), adj)
+    verdict: GqVerdict = _gq_axioms(g, m, _lines_inside(g, members, m), adj, one_point)
     pts = frozenset(members)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
@@ -179,19 +183,26 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     :func:`nearhex.geometry._closure_groups` pass closes every pair and
     returns each distinct closure once.  Every such pair is closed, also
     when it lies in a quad already found: skipping it would assume the
-    uniqueness of quads that this checks.
+    uniqueness of quads that this checks.  The pairs come in order of
+    their first point ``x``, so ``x``'s own seeds are consecutive bits, set
+    as one block.  Every line lies in several quads, so each line's
+    one-point mask is worked out once, on ``adjacency``, for all of them;
+    the groups are sorted by their member lists, which are sorted already.
     """
     if not check_np(g).ok:
         raise GeometryError("quad enumeration expects a near polygon")
     held = [0] * g.point_count
     bit = 1
-    for x, y, common in g.distance_two_pairs:
-        if common >= 2:
-            held[x] |= bit
-            held[y] |= bit
-            bit <<= 1
-    records = [_classify_quad(g, members, m) for members, m, _ in _closure_groups(g, held)]
-    return sorted(records, key=lambda r: sorted(r.points))
+    for x, run in groupby(g.distance_two_pairs, itemgetter(0)):
+        first = bit
+        for _, y, common in run:
+            if common >= 2:
+                held[y] |= bit
+                bit <<= 1
+        held[x] |= bit - first
+    one_point = _one_point_masks(g, g.adjacency, range(len(g.lines)))
+    groups = sorted(_closure_groups(g, held), key=itemgetter(0))
+    return [_classify_quad(g, members, m, one_point) for members, m, _ in groups]
 
 
 class Case(NamedTuple):

@@ -407,6 +407,51 @@ def _collineations(triples):
                 yield tuple(image[x] for x in range(15))
 
 
+def _gq24():
+    """The (2,4)-quadrangle: the 27 singular points of the elliptic
+    quadratic form x0 x1 + x2 x3 + x4^2 + x4 x5 + x5^2 on GF(2)^6, and its
+    45 lines {a, b, a ^ b}.  Each of its 720 triads has 3 centres."""
+
+    def singular(v):
+        x = [v >> i & 1 for i in range(6)]
+        return not (x[0] & x[1] ^ x[2] & x[3] ^ x[4] ^ x[4] & x[5] ^ x[5])
+
+    points = [v for v in range(1, 64) if singular(v)]
+    index = {v: i for i, v in enumerate(points)}
+    lines = {
+        tuple(sorted((index[a], index[b], index[a ^ b])))
+        for a in points
+        for b in points
+        if a < b and a ^ b in index
+    }
+    return Geometry(len(points), tuple(lines))
+
+
+W2_STAND_INS = {
+    "GQ(2,4)": (
+        "build_h3",
+        lambda w2: _gq24(),
+        "construction failure: expected 35 base triples, got 765",
+    ),
+    "W(2) less a line": (
+        "debruyn_census",
+        lambda w2: Geometry(15, w2.lines[1:], w2.labels),
+        "construction failure: expected 105 points, got 99",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", W2_STAND_INS)
+def test_w2_check_fires(monkeypatch, w2, case):
+    """Each check that ``build_h3`` and ``debruyn_census`` make on the W(2)
+    they are built from fires on a stand-in, with its own message."""
+    builder, make, message = W2_STAND_INS[case]
+    stand_in = make(w2)
+    monkeypatch.setattr(nearhex.builders, "build_w2", lambda: stand_in)
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        getattr(nearhex.builders, builder)()
+
+
 def test_base_triples_are_the_3_sets_with_a_3_point_perp(w2):
     """Of W(2)'s 455 3-sets, exactly its 15 lines and 20 complete triads
     have 3 points in their perp, and they are the lines of PG(3,2)."""

@@ -13,7 +13,7 @@ import random
 from itertools import combinations
 
 from nearhex import Geometry
-from nearhex.geometry import GeometryError, bits_of, convex_closures
+from nearhex.geometry import GeometryError, _closure_groups, bits_of, convex_closures, mask_of
 from nearhex.iso import relabel
 
 
@@ -129,6 +129,31 @@ def test_closures_match_the_reference_on_the_models(w2, h3, dsp, h3_partitions, 
         assert convex_closures(g, seeds) == reference_convex_closures(g, seeds)
         far += sum(_has_far_pair(g, seed) for seed in seeds)
     assert far
+
+
+def test_closure_groups_match_the_reference_in_any_visit_order(h3, dsp):
+    """A point that grows leaves out of the next gather round its
+    neighbours still to come in the current one, so which points a round
+    revisits depends on the order of the points: the groups must still
+    give every seed its reference closure on three seeded relabelings each
+    of h3 and dsp62, with each distinct closure once."""
+    rng = random.Random(25)
+    for base in (h3, h3, h3, dsp, dsp, dsp):
+        g = _relabeled(base, rng)
+        seeds = _qualifying_pairs(g) + _random_seeds(g, rng, 20)
+        held = [0] * g.point_count
+        for j, seed in enumerate(seeds):
+            for p in seed:
+                held[p] |= 1 << j
+        got: list = [None] * len(seeds)
+        groups = _closure_groups(g, held)
+        for members, mask, same in groups:
+            assert members == sorted(members) and mask == mask_of(members)
+            for j in bits_of(same):
+                got[j] = frozenset(members)
+        want = reference_convex_closures(g, seeds)
+        assert got == want
+        assert len(groups) == len(set(want))
 
 
 def test_closures_match_the_reference_on_mutants(h3, dsp):

@@ -30,6 +30,7 @@ from nearhex import (
     parameters,
 )
 from nearhex.geometry import convex_closures, mask_of
+from nearhex.gq22 import _one_point_masks
 from nearhex.iso import relabel
 from nearhex.verify import (
     CHECKS,
@@ -143,8 +144,10 @@ def test_quads_dsp(dsp):
 
 
 def classify(g, pts):
-    """``_classify_quad`` on a closure given as a set of points."""
-    return _classify_quad(g, sorted(pts), mask_of(pts))
+    """``_classify_quad`` on a closure given as a set of points, with the
+    one-point table built as ``enumerate_quads`` builds it."""
+    one_point = _one_point_masks(g, g.adjacency, range(len(g.lines)))
+    return _classify_quad(g, sorted(pts), mask_of(pts), one_point)
 
 
 def test_classify_quad_witnesses():
