@@ -25,7 +25,7 @@ from .builders import (
     build_h3_partitions,
     debruyn_census,
 )
-from .geometry import Geometry, collinear, dual_geometry
+from .geometry import Geometry, dual_geometry
 from .gq22 import (
     build_w2,
     complete_triad_through,
@@ -122,11 +122,8 @@ def criterion_2(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
                 if t.kind == "incomplete":
                     grids.add(incomplete_triad_subgq(w2, t))  # raises unless unique
             counts["distinct_grids"] = len(grids)
-    noncollinear = [
-        (x, y)
-        for x, y in combinations(range(15), 2)
-        if not collinear(w2, x, y)
-    ]
+    adj = w2.adjacency
+    noncollinear = [(x, y) for x, y in combinations(range(15), 2) if not adj[x] >> y & 1]
     c.expect(len(noncollinear) == 60, f"{len(noncollinear)} non-collinear pairs")
     for x, y in noncollinear:
         complete_triad_through(w2, x, y)  # raises unless unique

@@ -25,7 +25,16 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .geometry import Geometry, GeometryError, bits_of, validate_pls
-from .gq22 import EDGES, EDGE_INDEX, Triad, _classify_triad, build_w2, enumerate_triads
+from .gq22 import (
+    EDGES,
+    EDGE_INDEX,
+    Triad,
+    _classify_triad,
+    _closed_neighbourhoods,
+    _matchings,
+    build_w2,
+    enumerate_triads,
+)
 from .labels import Edge, OrderedPair, Pair, Partition, PrimedEdge, perp_related
 
 
@@ -51,10 +60,11 @@ def build_h3() -> Geometry:
     all; two points (x, u'), (y, v') of a line fix T, the triple through x
     and y, and the bijection on x and y, so the line: a partial linear
     space.  The tests and ``nearhex verify`` check these facts on the
-    result.
+    result.  The labels share W(2)'s Edge objects and one PrimedEdge per
+    edge.
     """
     w2 = build_w2()
-    cross = [a | 1 << x for x, a in enumerate(w2.adjacency)]
+    cross = _closed_neighbourhoods(w2)
     points = [(x, u) for x in range(15) for u in bits_of(cross[x])]
     index = {p: i for i, p in enumerate(points)}
     triples = list(w2.lines)
@@ -64,10 +74,10 @@ def build_h3() -> Geometry:
     for t in triples:
         a, b, c = t
         for sigma in permutations(bits_of(cross[a] & cross[b] & cross[c])):
-            lines.append(tuple(sorted(index[p] for p in zip(t, sigma))))
-    labels = tuple(
-        Pair(Edge(EDGES[x]), PrimedEdge(EDGES[u])) for x, u in points
-    )
+            # increasing, as t is and the points are ordered by x
+            lines.append(tuple(index[p] for p in zip(t, sigma)))
+    plain, primed = w2.labels, tuple(PrimedEdge(e) for e in EDGES)
+    labels = tuple(Pair(plain[x], primed[u]) for x, u in points)
     return Geometry(len(points), tuple(lines), labels)
 
 
@@ -89,7 +99,8 @@ def build_dsp62(h3: Geometry) -> Geometry:
         if not isinstance(label, Pair):
             raise GeometryError(f"point {i} lacks a Pair label")
         base, prime = label.base.ends, label.prime.ends
-        _require(perp_related(base, prime), f"point {i} label {label} is not perp-related")
+        if not perp_related(base, prime):  # the message is built on failure only
+            _require(False, f"point {i} label {label} is not perp-related")
         lines.append((i, 105 + EDGE_INDEX[base], 120 + EDGE_INDEX[prime]))
     labels = (
         h3.labels
@@ -102,18 +113,6 @@ def build_dsp62(h3: Geometry) -> Geometry:
     degrees = {len(t) for t in g.lines_by_point}
     _require(degrees == {7}, f"lines per point {sorted(degrees)}, expected {{7}}")
     return g
-
-
-def _matchings(items: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    if not items:
-        return [()]
-    first, rest = items[0], items[1:]
-    out = []
-    for i, second in enumerate(rest):
-        pair = (first, second)
-        for sub in _matchings(rest[:i] + rest[i + 1 :]):
-            out.append((pair,) + sub)
-    return out
 
 
 def build_h3_partitions() -> Geometry:
@@ -191,17 +190,11 @@ def debruyn_census() -> DebruynCensus:
       space.
 
     The tests and ``nearhex verify`` check these facts on the result.
+    The labels share W(2)'s Edge objects.
     """
     w2 = build_w2()
-    adj = w2.adjacency
-    points = [(x, x) for x in range(15)]
-    points += [
-        (x, y)
-        for x in range(15)
-        for y in range(15)
-        if x != y and adj[x] >> y & 1
-    ]
-    points.sort()
+    adj, closed = w2.adjacency, _closed_neighbourhoods(w2)
+    points = [(x, y) for x in range(15) for y in bits_of(closed[x])]
     index = {p: i for i, p in enumerate(points)}
     _require(len(points) == 105, f"expected 105 points, got {len(points)}")
 
@@ -219,25 +212,24 @@ def debruyn_census() -> DebruynCensus:
         emit("iii", [(a, b), (b, c), (c, a)])
         emit("iii", [(a, c), (c, b), (b, a)])
 
+    line_masks = w2.line_masks
     escorts = []
     for triad in enumerate_triads(w2, "lines"):
         if triad.kind != "incomplete":
             continue
         (centre,) = triad.perp_set
-        centre_pts = set(w2.lines[centre])
-        kpts, mpts, npts = (set(w2.lines[li]) for li in triad.elements)
+        k, m, n = (line_masks[li] for li in triad.elements)
         # the centre meets each line of the triad, and two lines meet at most once
-        (x,), (y,), (z,) = kpts & centre_pts, mpts & centre_pts, npts & centre_pts
-        for xp in sorted(kpts - {x}):
-            (yp,) = (q for q in mpts - {y} if not adj[xp] >> q & 1)
-            (zp,) = (q for q in npts - {z} if not adj[xp] >> q & 1)
-            escorts.append(_classify_triad(w2, tuple(sorted((xp, yp, zp))), "points"))
+        (x,), (y,), (z,) = (bits_of(line & line_masks[centre]) for line in (k, m, n))
+        for xp in bits_of(k & ~(1 << x)):
+            (yp,) = bits_of(m & ~(adj[xp] | 1 << y))
+            (zp,) = bits_of(n & ~(adj[xp] | 1 << z))
+            escorts.append(_classify_triad(closed, tuple(sorted((xp, yp, zp))), "points"))
             emit("iv", [(x, xp), (y, yp), (z, zp)])
 
     counts = {k: len(v) for k, v in by_type.items()}
-    labels = tuple(
-        OrderedPair(Edge(EDGES[x]), Edge(EDGES[y])) for x, y in points
-    )
+    edges = w2.labels
+    labels = tuple(OrderedPair(edges[x], edges[y]) for x, y in points)
     g = Geometry(105, tuple(set().union(*by_type.values())), labels)
     return DebruynCensus(g, counts, tuple(escorts))
 

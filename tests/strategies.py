@@ -99,3 +99,23 @@ def lifted_witness(g, pts, witness):
         x, hits, li = found.groups()
         return f"point {point(x)} is collinear with {hits} points of line {line(li)}"
     return witness
+
+
+def gq24():
+    """The (2,4)-quadrangle: the 27 singular points of the elliptic
+    quadratic form x0 x1 + x2 x3 + x4^2 + x4 x5 + x5^2 on GF(2)^6, and its
+    45 lines {a, b, a ^ b}.  Each of its 720 triads has 3 centres."""
+
+    def singular(v):
+        x = [v >> i & 1 for i in range(6)]
+        return not (x[0] & x[1] ^ x[2] & x[3] ^ x[4] ^ x[4] & x[5] ^ x[5])
+
+    points = [v for v in range(1, 64) if singular(v)]
+    index = {v: i for i, v in enumerate(points)}
+    lines = {
+        tuple(sorted((index[a], index[b], index[a ^ b])))
+        for a in points
+        for b in points
+        if a < b and a ^ b in index
+    }
+    return Geometry(len(points), tuple(lines))

@@ -19,10 +19,10 @@ from nearhex import (
     validate_pls,
 )
 from nearhex.geometry import bits_of
-from nearhex.gq22 import EDGE_INDEX
+from nearhex.gq22 import EDGE_INDEX, EDGES
 from nearhex.labels import Edge, OrderedPair, Pair, Partition, PrimedEdge
 
-from strategies import pg32_sts15
+from strategies import gq24, pg32_sts15
 
 
 def eidx(name):
@@ -325,6 +325,83 @@ def test_debruyn_escort_triads_recorded(debruyn):
     assert kinds == {"complete": 120, "incomplete": 0}
 
 
+def test_debruyn_escort_check_fires(monkeypatch):
+    """An escort triad whose perp has 2 points stops the census: each is
+    classified with its first point's closed neighbourhood one centre short."""
+    original = nearhex.builders._classify_triad
+
+    def one_centre_short(closed, elems, mode):
+        a, b, c = elems
+        centres = closed[a] & closed[b] & closed[c]
+        short = list(closed)
+        short[a] &= ~(centres & -centres)
+        return original(short, elems, mode)
+
+    monkeypatch.setattr(nearhex.builders, "_classify_triad", one_centre_short)
+    message = r"^triad \(\d+, \d+, \d+\) has perp of size 2; expected 1 or 3$"
+    with pytest.raises(GeometryError, match=message):
+        nearhex.builders.debruyn_census()
+
+
+def _perfect_matchings(items):
+    """The perfect matchings of ``items`` as tuples of pairs, in
+    lexicographic order."""
+    if not items:
+        return [()]
+    first = items[0]
+    return sorted(
+        ((first, second),) + rest
+        for second in items[1:]
+        for rest in _perfect_matchings([x for x in items[1:] if x != second])
+    )
+
+
+def test_build_w2_lines_are_the_disjoint_triples(w2):
+    """The factors, emitted as the perfect matchings of the 6-set, are the
+    triples of pairwise disjoint edges among all 455."""
+    disjoint = tuple(
+        trip
+        for trip in combinations(range(15), 3)
+        if all(EDGES[i].isdisjoint(EDGES[j]) for i, j in combinations(trip, 2))
+    )
+    assert w2.lines == disjoint
+    matchings = _perfect_matchings(list(range(1, 7)))
+    assert [tuple(EDGE_INDEX[frozenset(e)] for e in m) for m in matchings] == list(disjoint)
+
+
+def test_labels_equal_fresh_ones(w2, h3, dsp, h3_partitions, h3_debruyn):
+    """Each model's labels equal labels built afresh, one object per point,
+    by ``==`` and by ``str``; the builders share one Edge or PrimedEdge
+    object per edge of a call among the points."""
+    perp_pairs = [
+        (x, u) for x in range(15) for u in range(15) if x == u or EDGES[x].isdisjoint(EDGES[u])
+    ]
+    pairs = [Pair(Edge(EDGES[x]), PrimedEdge(EDGES[u])) for x, u in perp_pairs]
+    fresh = {
+        "w2": (w2, [Edge(e) for e in EDGES]),
+        "h3": (h3, pairs),
+        "dsp62": (dsp, pairs + [Edge(e) for e in EDGES] + [PrimedEdge(e) for e in EDGES]),
+        "h3-partition": (
+            h3_partitions,
+            [
+                Partition(frozenset(frozenset(b) for b in m))
+                for m in _perfect_matchings(list(range(1, 9)))
+            ],
+        ),
+        "h3-debruyn": (
+            h3_debruyn,
+            [OrderedPair(Edge(EDGES[x]), Edge(EDGES[y])) for x, y in perp_pairs],
+        ),
+    }
+    for name, (g, want) in fresh.items():
+        assert list(g.labels) == want, name
+        assert [str(label) for label in g.labels] == [str(label) for label in want], name
+    assert len({id(label.base) for label in h3.labels}) == 15
+    assert len({id(label.prime) for label in h3.labels}) == 15
+    ends = {id(e) for label in h3_debruyn.labels for e in (label.first, label.second)}
+    assert len(ends) == 15
+
+
 def test_determinism_of_builders(h3, h3_partitions, h3_debruyn, dsp):
     from nearhex import (
         build_dsp62,
@@ -407,30 +484,10 @@ def _collineations(triples):
                 yield tuple(image[x] for x in range(15))
 
 
-def _gq24():
-    """The (2,4)-quadrangle: the 27 singular points of the elliptic
-    quadratic form x0 x1 + x2 x3 + x4^2 + x4 x5 + x5^2 on GF(2)^6, and its
-    45 lines {a, b, a ^ b}.  Each of its 720 triads has 3 centres."""
-
-    def singular(v):
-        x = [v >> i & 1 for i in range(6)]
-        return not (x[0] & x[1] ^ x[2] & x[3] ^ x[4] ^ x[4] & x[5] ^ x[5])
-
-    points = [v for v in range(1, 64) if singular(v)]
-    index = {v: i for i, v in enumerate(points)}
-    lines = {
-        tuple(sorted((index[a], index[b], index[a ^ b])))
-        for a in points
-        for b in points
-        if a < b and a ^ b in index
-    }
-    return Geometry(len(points), tuple(lines))
-
-
 W2_STAND_INS = {
     "GQ(2,4)": (
         "build_h3",
-        lambda w2: _gq24(),
+        lambda w2: gq24(),
         "construction failure: expected 35 base triples, got 765",
     ),
     "W(2) less a line": (

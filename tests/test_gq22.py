@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearhex.gq22
 from nearhex import (
     Geometry,
     GeometryError,
@@ -23,7 +24,7 @@ from nearhex.geometry import collinear
 from nearhex.gq22 import EDGE_INDEX, EDGES, Triad
 from nearhex.labels import Edge
 
-from strategies import lifted_witness, small_geometries
+from strategies import gq24, lifted_witness, small_geometries
 
 
 def eidx(name):
@@ -277,6 +278,24 @@ def test_grid_search_matches_the_unfiltered_search(w2):
         assert [incomplete_triad_subgq(w2, t)] == grids_unfiltered(w2, t)
 
 
+def test_grid_search_checks_only_the_grid_in_full(w2, monkeypatch):
+    """Of the 6-subsets of each triad's 7 candidates, only the grid has 6
+    lines inside, so only the grid reaches ``is_gq``."""
+    checked = []
+    original = nearhex.gq22.is_gq
+
+    def recording(g, points=None):
+        checked.append(frozenset(points))
+        return original(g, points)
+
+    monkeypatch.setattr(nearhex.gq22, "is_gq", recording)
+    for t in enumerate_triads(w2, "points"):
+        if t.kind == "incomplete":
+            checked.clear()
+            grid = incomplete_triad_subgq(w2, t)
+            assert checked == [grid]
+
+
 def test_grid_search_raises_when_no_grid_contains_the_triad():
     # a 3x3 grid with its last column traded for the diagonal {2,4,6}, and
     # a line {5,8,9} that keeps 5 a candidate: the 9-set {0..8} has six
@@ -320,3 +339,127 @@ def test_noncollinear_pairs_have_three_centres(w2):
     for x, y in combinations(range(15), 2):
         if not collinear(w2, x, y):
             assert len(perp(w2, (x, y))) == 3
+
+
+# ---- the triad layer against its first, set-based form ------------------
+
+
+def reference_triads(g, mode="points"):
+    """``enumerate_triads`` as first written: every 3-set in order, those
+    with a collinear pair skipped, each classified by the size of its
+    ``perp``."""
+    if mode == "points":
+        h = g
+    elif mode == "lines":
+        h = dual_geometry(g)
+    else:
+        raise GeometryError(f"unknown triad mode {mode!r}")
+    adj = h.adjacency
+    out = []
+    for a, b, c in combinations(range(h.point_count), 3):
+        if adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1:
+            continue
+        p = perp(h, (a, b, c))
+        if len(p) == 3:
+            kind = "complete"
+        elif len(p) == 1:
+            kind = "incomplete"
+        else:
+            raise GeometryError(f"triad {(a, b, c)} has perp of size {len(p)}; expected 1 or 3")
+        out.append(Triad((a, b, c), kind, p, mode))
+    return out
+
+
+def reference_complete_triad_through(g, x, y):
+    """``complete_triad_through`` as first written: every third point off
+    both, kept when the three have a 3-point ``perp``."""
+    if collinear(g, x, y) or x == y:
+        raise GeometryError(f"points {x} and {y} are not a non-collinear pair")
+    adj = g.adjacency
+    found = []
+    for z in range(g.point_count):
+        if z in (x, y) or adj[z] >> x & 1 or adj[z] >> y & 1:
+            continue
+        p = perp(g, (x, y, z))
+        if len(p) == 3:
+            found.append(Triad(tuple(sorted((x, y, z))), "complete", p))
+    if len(found) != 1:
+        raise GeometryError(
+            f"pair ({x},{y}): found {len(found)} complete triads, expected exactly 1"
+        )
+    return found[0]
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the text of the GeometryError it raises."""
+    try:
+        return fn(*args)
+    except GeometryError as e:
+        return f"GeometryError: {e}"
+
+
+def assert_triad_layer_matches(g):
+    """Both triad modes, and the complete triad through every ordered pair,
+    equal the reference: the same triads in the same order, or the same
+    error."""
+    for mode in ("points", "lines", "planes"):
+        assert outcome(enumerate_triads, g, mode) == outcome(reference_triads, g, mode)
+    for x in range(g.point_count):
+        for y in range(g.point_count):
+            assert outcome(complete_triad_through, g, x, y) == outcome(
+                reference_complete_triad_through, g, x, y
+            )
+
+
+@pytest.fixture(scope="module")
+def triad_cases(w2, grid33):
+    """W(2) and its dual; the 3x3 grid, whose triads have empty perps;
+    GQ(2,4), where each non-collinear pair lies in 10 complete triads;
+    K(4,4), the dual of the 4x4 grid, whose triads have 4 centres; and
+    points 0 and 1 with 4 common neighbours, 3 of them collinear with 6."""
+    k44 = Geometry(8, tuple((r, c) for r in range(4) for c in range(4, 8)))
+    wide = Geometry(7, tuple((p, q) for p in (0, 1, 6) for q in (2, 3, 4, 5) if (p, q) != (6, 5)))
+    return {
+        "w2": w2,
+        "dual w2": dual_geometry(w2),
+        "grid33": grid33,
+        "gq24": gq24(),
+        "k44": k44,
+        "wide": wide,
+    }
+
+
+@pytest.mark.parametrize("name", ["w2", "dual w2", "grid33", "gq24", "k44", "wide"])
+def test_triad_layer_matches_the_reference(triad_cases, name):
+    assert_triad_layer_matches(triad_cases[name])
+
+
+@given(small_geometries())
+@settings(max_examples=200, deadline=None)
+def test_triad_layer_matches_the_reference_on_small_geometries(g):
+    assert_triad_layer_matches(g)
+
+
+def test_perp_size_check_fires(grid33):
+    # three points of a 3x3 grid, one per row and column, have no common
+    # neighbour: each point is collinear with at most two of them
+    with pytest.raises(
+        GeometryError, match=r"^triad \(0, 4, 8\) has perp of size 0; expected 1 or 3$"
+    ):
+        enumerate_triads(grid33)
+
+
+def test_complete_triad_check_fires(grid33):
+    # in the grid no third point completes (0, 4); in GQ(2,4), where every
+    # triad has 3 centres, each of the 27 - 2 - (10 + 10 - 5) points off
+    # both completes the pair
+    with pytest.raises(
+        GeometryError, match=r"^pair \(0,4\): found 0 complete triads, expected exactly 1$"
+    ):
+        complete_triad_through(grid33, 0, 4)
+    g = gq24()
+    x, y = next((x, y) for x, y in combinations(range(27), 2) if not collinear(g, x, y))
+    message = f"^pair \\({x},{y}\\): found 10 complete triads, expected exactly 1$"
+    with pytest.raises(GeometryError, match=message):
+        complete_triad_through(g, x, y)
+
