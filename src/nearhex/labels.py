@@ -18,6 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: the ground set of a :class:`Partition`
+_EIGHT = frozenset(range(1, 9))
+
+
 def _blockstr(block: frozenset[int]) -> str:
     return "".join(str(x) for x in sorted(block))
 
@@ -68,11 +72,12 @@ class Partition:
     blocks: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", frozenset(frozenset(b) for b in self.blocks))
-        if len(self.blocks) != 4 or any(len(b) != 2 for b in self.blocks):
+        blocks = frozenset(map(frozenset, self.blocks))
+        object.__setattr__(self, "blocks", blocks)
+        if len(blocks) != 4 or set(map(len, blocks)) != {2}:
             raise ValueError("need four 2-subsets")
-        union = frozenset().union(*self.blocks)
-        if union != frozenset(range(1, 9)):
+        union = frozenset().union(*blocks)
+        if union != _EIGHT:
             raise ValueError(f"blocks do not partition 1..8: {sorted(union)}")
 
     def __str__(self) -> str:

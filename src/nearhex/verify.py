@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -54,24 +53,22 @@ def parameters(g: Geometry) -> ParameterSummary:
     """Exact census of sizes, degrees, t2 values, diameter and density.
 
     t2 is reported as the set of observed values because it may genuinely
-    depend on the pair (the 105-point hexagon has both 1 and 2).
+    depend on the pair (the 105-point hexagon has both 1 and 2).  A pair at
+    distance 2 has ``t2 + 1`` common neighbours, so t2 and density are read
+    off the keys of ``g.common_counts``: dense when no such pair has only
+    one.
     """
-    t2 = set()
-    dense = True
-    for _, _, common in g.distance_two_pairs:
-        t2.add(common - 1)
-        if common < 2:
-            dense = False
+    commons = {c for counts in g.common_counts for c in counts}
     connected, diameter = metrics(g)
     line_sizes = frozenset(len(line) for line in g.lines)
     return ParameterSummary(
         v=g.point_count,
         line_sizes=line_sizes,
         lines_per_point=frozenset(len(t) for t in g.lines_by_point),
-        t2_values=frozenset(t2),
+        t2_values=frozenset(c - 1 for c in commons),
         diameter=diameter,
         connected=connected,
-        dense=dense,
+        dense=1 not in commons,
         slim=line_sizes == frozenset({3}),
     )
 
@@ -179,7 +176,9 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """Convex closures of all distance-2 pairs with >= 2 common neighbours,
     each distinct closure classified once, in order of its sorted points.
 
-    Pair ``j`` sets bit ``j`` of both its points' seed masks, and one
+    The pairs are read off ``g.common_counts``: for each point ``x``, its
+    later points at distance 2 with a count of 2 or more.  Pair ``j`` sets
+    bit ``j`` of both its points' seed masks, and one
     :func:`nearhex.geometry._closure_groups` pass closes every pair and
     returns each distinct closure once.  Every such pair is closed, also
     when it lies in a quad already found: skipping it would assume the
@@ -193,12 +192,12 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
         raise GeometryError("quad enumeration expects a near polygon")
     held = [0] * g.point_count
     bit = 1
-    for x, run in groupby(g.distance_two_pairs, itemgetter(0)):
+    for x, counts in enumerate(g.common_counts):
         first = bit
-        for _, y, common in run:
-            if common >= 2:
-                held[y] |= bit
-                bit <<= 1
+        # the count masks are disjoint, so this is the points of count >= 2
+        for y in bits_of(sum(counts.values()) - counts.get(1, 0)):
+            held[y] |= bit
+            bit <<= 1
         held[x] |= bit - first
     one_point = _one_point_masks(g, g.adjacency, range(len(g.lines)))
     groups = sorted(_closure_groups(g, held), key=itemgetter(0))
@@ -379,10 +378,12 @@ def _case_scan(g: Geometry, rows: list[dict[str, int]], table: dict[str, Case]) 
     A "distance" case is split by the distance layers of ``i``.  A "common"
     case records distance 1 for its collinear part, 0 for its points beyond
     distance 2 and, for the pairs at distance 2 alone, the count of common
-    neighbours.  Each case keeps its first 10 failing pairs in ``(i, j)``
+    neighbours: each count's mask of ``g.common_counts[i]``, masked to the
+    row, joins that count's part, so a count of 1 merges with the collinear
+    part.  Each case keeps its first 10 failing pairs in ``(i, j)``
     order as witnesses.
     """
-    adj, spheres, names = g.adjacency, g.distance_spheres, g.labels
+    adj, spheres, common, names = g.adjacency, g.distance_spheres, g.common_counts, g.labels
     found = {case: ({}, []) for case in table}  # histogram, witnesses
     for i, row in enumerate(rows):
         adj_i, layers = adj[i], spheres[i]
@@ -390,11 +391,11 @@ def _case_scan(g: Geometry, rows: list[dict[str, int]], table: dict[str, Case]) 
             measure, want, _ = table[case]
             if measure == "common":
                 near = m & adj_i
-                two = m & layers[2] if len(layers) > 2 else 0
-                parts = {1: near, 0: m ^ near ^ two}
-                for j in bits_of(two):
-                    common = (adj_i & adj[j]).bit_count()
-                    parts[common] = parts.get(common, 0) | 1 << j
+                parts = {0: m ^ near, 1: near}
+                for c, part in common[i].items():
+                    part &= m
+                    parts[0] ^= part
+                    parts[c] = parts.get(c, 0) | part
             else:
                 parts = {}
                 for d, layer in enumerate(layers):

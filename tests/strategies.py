@@ -1,7 +1,7 @@
 """Hypothesis strategies and helpers shared by the differential tests."""
 
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -18,6 +18,18 @@ def small_geometries(draw):
         return Geometry(n, ())
     line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
     return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
+
+
+def distance_two_pairs(g):
+    """``(x, y, common)`` for each pair ``x < y`` at distance 2, with its
+    number of common neighbours, in increasing order, by brute force over
+    ``distance_rows`` and the popcount of each pair's common adjacency."""
+    rows, adj = g.distance_rows, g.adjacency
+    return [
+        (x, y, (adj[x] & adj[y]).bit_count())
+        for x, y in combinations(range(g.point_count), 2)
+        if rows[x][y] == 2
+    ]
 
 
 def cyclic_sts13():

@@ -16,6 +16,8 @@ from nearhex import Geometry
 from nearhex.geometry import GeometryError, _closure_groups, bits_of, convex_closures, mask_of
 from nearhex.iso import relabel
 
+from strategies import distance_two_pairs
+
 
 def reference_convex_closures(g: Geometry, seeds) -> list[frozenset[int]]:
     """Close every seed by the line rule and by the interval of every pair
@@ -100,7 +102,7 @@ def reference_convex_closures(g: Geometry, seeds) -> list[frozenset[int]]:
 
 
 def _qualifying_pairs(g):
-    return [(x, y) for x, y, common in g.distance_two_pairs if common >= 2]
+    return [(x, y) for x, y, common in distance_two_pairs(g) if common >= 2]
 
 
 def _random_seeds(g, rng, count):
@@ -183,7 +185,7 @@ def test_closures_of_nested_repeated_and_equal_seeds(h3, dsp):
     rng = random.Random(23)
     for base in (h3, dsp):
         g = _relabeled(base, rng)
-        x, y, _ = next(pair for pair in g.distance_two_pairs if pair[2] >= 2)
+        x, y, _ = next(pair for pair in distance_two_pairs(g) if pair[2] >= 2)
         a, b = bits_of(g.adjacency[x] & g.adjacency[y])[:2]
         seeds = [(x, y), (x,), (x, a), (x, y), (a, b), (y,), (x,), (y, x, y), (a, x)]
         got = convex_closures(g, seeds)

@@ -35,6 +35,9 @@ def test_partition_rendering_and_validation():
     overlapping = blocks[:3] + (frozenset({1, 8}),)
     with pytest.raises(ValueError):
         Partition(frozenset(overlapping))
+    # four blocks covering 1..8, so only the block sizes are wrong
+    with pytest.raises(ValueError, match="need four 2-subsets"):
+        Partition(frozenset(map(frozenset, ({1, 2, 3}, {4, 5}, {6, 7}, {8}))))
 
 
 def test_perp_related_is_equal_or_disjoint():

@@ -31,7 +31,7 @@ from nearhex.cli import MODELS, main
 from nearhex.geometry import UNREACHABLE, _closure_groups, bits_of
 from nearhex.iso import relabel
 
-from strategies import small_geometries
+from strategies import distance_two_pairs, gq24, small_geometries
 from test_closures import reference_convex_closures
 
 
@@ -122,12 +122,46 @@ def test_spheres_match_rows_and_bfs(g):
         assert len(layers) == max(rows[p]) + 1
         for k, layer in enumerate(layers):
             assert layer == sum(1 << q for q, d in enumerate(rows[p]) if d == k)
-    adj = g.adjacency
-    assert g.distance_two_pairs == tuple(
-        (x, y, (adj[x] & adj[y]).bit_count())
-        for x, y in combinations(range(g.point_count), 2)
-        if rows[x][y] == 2
+
+
+def common_counts_by_pairs(g):
+    """``common_counts`` rebuilt pair by pair from the brute-force
+    ``distance_two_pairs``."""
+    table = [{} for _ in range(g.point_count)]
+    for x, y, common in distance_two_pairs(g):
+        table[x][common] = table[x].get(common, 0) | 1 << y
+    return tuple(table)
+
+
+@given(small_geometries())
+@settings(max_examples=150, deadline=None)
+def test_common_counts_match_the_pairs(g):
+    assert g.common_counts == common_counts_by_pairs(g)
+
+
+def test_common_counts_count_a_neighbour_on_two_lines_once():
+    # 1 lies on both lines through 0 and 1, so 0 and 4 have one common
+    # neighbour, though a walk of the lines through 0 meets 1 twice
+    g = Geometry(5, ((0, 1, 2), (0, 1, 3), (1, 4)))
+    assert g.common_counts[0] == {1: 1 << 4}
+    assert g.common_counts == common_counts_by_pairs(g)
+
+
+def test_common_counts_of_the_models(w2, h3, dsp, h3_partitions, h3_debruyn):
+    # gq24's distance-2 pairs have five common neighbours: three planes
+    rng = random.Random(29)
+    models = (
+        (w2, {3}, 60), (h3, {2, 3}, 2310), (dsp, {3}, 3780),
+        (h3_partitions, {2, 3}, 2310), (h3_debruyn, {2, 3}, 2310), (gq24(), {5}, 216),
     )
+    for base, commons, pairs in models:
+        perm = list(range(base.point_count))
+        rng.shuffle(perm)
+        for g in (base, relabel(base, perm)):
+            table = g.common_counts
+            assert table == common_counts_by_pairs(g)
+            assert {c for counts in table for c in counts} == commons
+            assert sum(m.bit_count() for counts in table for m in counts.values()) == pairs
 
 
 @given(small_geometries(), st.data())
@@ -402,7 +436,7 @@ def test_enumerate_quads_skips_pairs_with_one_common_neighbour():
     # each have one common neighbour, so no pair is closed
     g = Geometry(5, ((0, 1, 2), (0, 3, 4)))
     assert check_np(g).ok
-    assert {common for _, _, common in g.distance_two_pairs} == {1}
+    assert {common for _, _, common in distance_two_pairs(g)} == {1}
     assert enumerate_quads(g) == []
 
 
@@ -446,7 +480,7 @@ def test_closure_groups_match_oracle(g, data):
 
 def test_closure_groups_partition_the_qualifying_pairs(h3, dsp):
     for g in (h3, dsp):
-        pairs = [(x, y) for x, y, common in g.distance_two_pairs if common >= 2]
+        pairs = [(x, y) for x, y, common in distance_two_pairs(g) if common >= 2]
         assert_closure_groups_partition_the_seeds(g, pairs, reference_convex_closures(g, pairs))
 
 

@@ -41,7 +41,7 @@ from nearhex.verify import (
     run_check,
 )
 
-from strategies import lifted_witness, small_geometries
+from strategies import distance_two_pairs, lifted_witness, small_geometries
 
 
 def test_parameters_w2(w2):
@@ -205,7 +205,7 @@ def _relabeled(g, rng):
 def _quad_closures(g, rng, seeds):
     """The distinct closures of ``g``'s qualifying pairs and of ``seeds``
     random seeds of 1 to 3 points."""
-    pairs = [(x, y) for x, y, common in g.distance_two_pairs if common >= 2]
+    pairs = [(x, y) for x, y, common in distance_two_pairs(g) if common >= 2]
     random_seeds = [rng.sample(range(g.point_count), rng.randint(1, 3)) for _ in range(seeds)]
     return dict.fromkeys(convex_closures(g, pairs + random_seeds))
 
