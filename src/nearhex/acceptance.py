@@ -14,6 +14,7 @@ test suite both consume :func:`run_acceptance`.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import wraps
 from itertools import combinations
@@ -106,14 +107,14 @@ def criterion_1(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
 
 @_criterion(2, "Triad facts: perp sizes 1/3, 20+60 split, unique grids and complete triads", 1.0)
 def criterion_2(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
+    """The triad total is not checked on its own: ``_classify_triad``
+    raises unless each triad is complete or incomplete, so the checked
+    20/60 split fixes the total at 80."""
     w2 = models["w2"]
     counts = {}
     for mode in ("points", "lines"):
         triads = enumerate_triads(w2, mode)
-        kinds = {"complete": 0, "incomplete": 0}
-        for t in triads:
-            kinds[t.kind] += 1
-        c.expect(len(triads) == 80, f"{mode}: {len(triads)} triads")
+        kinds = {"complete": 0, "incomplete": 0} | Counter(t.kind for t in triads)
         c.expect(kinds == {"complete": 20, "incomplete": 60}, f"{mode}: {kinds}")
         counts[f"{mode[:-1]}_triads"] = {"total": len(triads), **kinds}
         if mode == "points":
@@ -156,6 +157,11 @@ def criterion_5(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
 
 @_criterion(6, "135-point case analysis: B1/B2/B4/B5 give 3, B3/B6/B7 give distance 3", 10.0)
 def criterion_6(c: _Checker, models: dict[str, Geometry], census: DebruynCensus) -> dict:
+    """The glue lines, those with a point off the hexagon, are counted and
+    profiled but not checked on their own.  ``build_dsp62`` adds exactly
+    one line through each of the 105 hexagon points, and the hexagon's
+    own lines stay inside points 0..104, so there are 105 of them.  They
+    are among all the lines, whose profiles must lie in ``HEX_PROFILES``."""
     dsp = models["dsp62"]
     hexagon = EXPECTED["dsp62"].hexagon
     counts = c.check("cases", "dsp62", dsp).counts
@@ -165,11 +171,6 @@ def criterion_6(c: _Checker, models: dict[str, Geometry], census: DebruynCensus)
     c.expect(
         set(profiles) <= HEX_PROFILES,
         f"unexpected line distance profiles {sorted(set(profiles) - HEX_PROFILES)}",
-    )
-    c.expect(len(glue) == 105, f"{len(glue)} glue lines")
-    c.expect(
-        set(glue_profiles) <= HEX_PROFILES,
-        f"glue-line profiles {sorted(set(glue_profiles) - HEX_PROFILES)}",
     )
     counts["line_profiles"] = {str(k): v for k, v in sorted(profiles.items())}
     counts["glue_line_profiles"] = {str(k): v for k, v in sorted(glue_profiles.items())}

@@ -21,6 +21,7 @@ guarantees is not checked again.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -30,7 +31,6 @@ from .gq22 import (
     EDGE_INDEX,
     Triad,
     _classify_triad,
-    _closed_neighbourhoods,
     _matchings,
     build_w2,
     enumerate_triads,
@@ -64,7 +64,7 @@ def build_h3() -> Geometry:
     edge.
     """
     w2 = build_w2()
-    cross = _closed_neighbourhoods(w2)
+    cross = w2.perps
     points = [(x, u) for x in range(15) for u in bits_of(cross[x])]
     index = {p: i for i, p in enumerate(points)}
     triples = list(w2.lines)
@@ -151,10 +151,7 @@ class DebruynCensus:
 
     @property
     def escort_kind_counts(self) -> dict[str, int]:
-        out = {"complete": 0, "incomplete": 0}
-        for t in self.escort_triads:
-            out[t.kind] += 1
-        return out
+        return {"complete": 0, "incomplete": 0} | Counter(t.kind for t in self.escort_triads)
 
 
 def debruyn_census() -> DebruynCensus:
@@ -193,8 +190,8 @@ def debruyn_census() -> DebruynCensus:
     The labels share W(2)'s Edge objects.
     """
     w2 = build_w2()
-    adj, closed = w2.adjacency, _closed_neighbourhoods(w2)
-    points = [(x, y) for x in range(15) for y in bits_of(closed[x])]
+    adj, perps = w2.adjacency, w2.perps
+    points = [(x, y) for x in range(15) for y in bits_of(perps[x])]
     index = {p: i for i, p in enumerate(points)}
     _require(len(points) == 105, f"expected 105 points, got {len(points)}")
 
@@ -224,7 +221,7 @@ def debruyn_census() -> DebruynCensus:
         for xp in bits_of(k & ~(1 << x)):
             (yp,) = bits_of(m & ~(adj[xp] | 1 << y))
             (zp,) = bits_of(n & ~(adj[xp] | 1 << z))
-            escorts.append(_classify_triad(closed, tuple(sorted((xp, yp, zp))), "points"))
+            escorts.append(_classify_triad(perps, tuple(sorted((xp, yp, zp))), "points"))
             emit("iv", [(x, xp), (y, yp), (z, zp)])
 
     counts = {k: len(v) for k, v in by_type.items()}

@@ -112,19 +112,16 @@ def cmd_iso(args: argparse.Namespace) -> int:
     name_a, ga = load_geometry(args.a)
     name_b, gb = load_geometry(args.b)
     verdict = are_isomorphic(ga, gb)
+    doc = {
+        "a": name_a,
+        "b": name_b,
+        "verdict": "isomorphic" if verdict.isomorphic else "not isomorphic",
+        "detail": verdict.detail,
+    }
     if verdict.isomorphic:
-        doc = {
-            "a": name_a,
-            "b": name_b,
-            "verdict": "isomorphic",
-            "detail": verdict.detail,
-            "mapping": {ga.labels[p]: gb.labels[q] for p, q in enumerate(verdict.mapping)},
-        }
-        _write(dumps(doc), args.out)
-        return 0
-    doc = {"a": name_a, "b": name_b, "verdict": "not isomorphic", "detail": verdict.detail}
+        doc["mapping"] = {ga.labels[p]: gb.labels[q] for p, q in enumerate(verdict.mapping)}
     _write(dumps(doc), args.out)
-    return 1
+    return 0 if verdict.isomorphic else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -109,6 +109,12 @@ class Geometry:
         return tuple(adj[p] & ~(1 << p) for p in range(self.point_count))
 
     @cached_property
+    def perps(self) -> tuple[int, ...]:
+        """Bitmask of each point's perp: the point and its neighbours.  The
+        perp of a point set is the AND of its members' perps."""
+        return tuple(a | 1 << p for p, a in enumerate(self.adjacency))
+
+    @cached_property
     def lines_by_point(self) -> tuple[tuple[int, ...], ...]:
         through: list[list[int]] = [[] for _ in range(self.point_count)]
         for i, line in enumerate(self.lines):
@@ -397,7 +403,7 @@ def perp(g: Geometry, points: Iterable[int]) -> frozenset[int]:
         raise GeometryError("perp of an empty set is undefined")
     m = g.full_mask
     for p in pts:
-        m &= g.adjacency[p] | (1 << p)
+        m &= g.perps[p]
     return frozenset(bits_of(m))
 
 

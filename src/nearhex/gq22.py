@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import (
     Geometry,
@@ -171,17 +171,11 @@ class Triad:
     mode: str = "points"  # "points" | "lines"
 
 
-def _closed_neighbourhoods(g: Geometry) -> list[int]:
-    """Per point, the mask of its closed neighbourhood: the point and the
-    points collinear with it.  A set's perp is the AND of its members'."""
-    return [a | 1 << p for p, a in enumerate(g.adjacency)]
-
-
-def _classify_triad(closed: list[int], elems: tuple[int, int, int], mode: str) -> Triad:
-    """The triad ``elems`` with its perp, the AND of the three ``closed``
-    neighbourhoods (:func:`_closed_neighbourhoods`), of 1 or 3 points."""
+def _classify_triad(perps: Sequence[int], elems: tuple[int, int, int], mode: str) -> Triad:
+    """The triad ``elems`` with its perp, the AND of the three ``perps``
+    masks (``Geometry.perps``), of 1 or 3 points."""
     a, b, c = elems
-    m = closed[a] & closed[b] & closed[c]
+    m = perps[a] & perps[b] & perps[c]
     size = m.bit_count()
     if size == 3:
         kind = "complete"
@@ -200,24 +194,23 @@ def enumerate_triads(g: Geometry, mode: str = "points") -> list[Triad]:
     other size raises :class:`GeometryError`, as W(2) has none.
 
     The walk meets only the triples of pairwise non-collinear points:
-    each point's later points off its closed neighbourhood, and among
-    those the later ones off the second point's.  A perp is the AND of
-    the three closed neighbourhoods."""
+    each point's later points off its perp, and among those the later
+    ones off the second point's."""
     if mode == "points":
         h = g
     elif mode == "lines":
         h = dual_geometry(g)
     else:
         raise GeometryError(f"unknown triad mode {mode!r}")
-    closed = _closed_neighbourhoods(h)
+    perps = h.perps
     full = h.full_mask
     out = []
     for a in range(h.point_count):
-        # the points after a (-(2 << a) sets every higher bit) off a's neighbourhood
-        far = full & ~closed[a] & -(2 << a)
+        # the points after a (-(2 << a) sets every higher bit) off a's perp
+        far = full & ~perps[a] & -(2 << a)
         for b in bits_of(far):
-            for c in bits_of(far & ~closed[b] & -(2 << b)):
-                out.append(_classify_triad(closed, (a, b, c), mode))
+            for c in bits_of(far & ~perps[b] & -(2 << b)):
+                out.append(_classify_triad(perps, (a, b, c), mode))
     return out
 
 
@@ -258,22 +251,16 @@ def incomplete_triad_subgq(g: Geometry, triad: Triad) -> frozenset[int]:
 
 def complete_triad_through(g: Geometry, x: int, y: int) -> Triad:
     """The unique complete triad containing a non-collinear pair: the
-    points z off both closed neighbourhoods whose own closed neighbourhood
-    meets the pair's common one in 3 points."""
+    points z off both perps whose own perp meets the pair's common one in
+    3 points, classified by :func:`_classify_triad`."""
     if collinear(g, x, y) or x == y:
         raise GeometryError(f"points {x} and {y} are not a non-collinear pair")
-    adj = g.adjacency
-    cx, cy = adj[x] | 1 << x, adj[y] | 1 << y
-    common = cx & cy
-    found = [
-        z
-        for z in bits_of(g.full_mask & ~(cx | cy))
-        if (common & (adj[z] | 1 << z)).bit_count() == 3
-    ]
+    perps = g.perps
+    common = perps[x] & perps[y]
+    off = g.full_mask & ~(perps[x] | perps[y])
+    found = [z for z in bits_of(off) if (common & perps[z]).bit_count() == 3]
     if len(found) != 1:
         raise GeometryError(
             f"pair ({x},{y}): found {len(found)} complete triads, expected exactly 1"
         )
-    (z,) = found
-    perp_set = frozenset(bits_of(common & (adj[z] | 1 << z)))
-    return Triad(tuple(sorted((x, y, z))), "complete", perp_set)
+    return _classify_triad(perps, tuple(sorted((x, y, *found))), "points")

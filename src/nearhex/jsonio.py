@@ -40,7 +40,7 @@ def document_to_geometry(doc: Any) -> tuple[str, Geometry]:
         name = doc["name"]
         points = doc["points"]
         lines = doc["lines"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise GeometryError(f"geometry document missing field: {exc}") from exc
     if type(name) is not str:
         raise GeometryError(f"'name' must be a string, not {_shown(name)}")

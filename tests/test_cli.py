@@ -120,6 +120,10 @@ def test_verify_rejects_misapplied_checks(capsys):
     assert run(capsys, "verify", "--model", "h3", "--checks", "bogus")[0] == 2
 
 
+def test_verify_rejects_an_empty_check_list(capsys):
+    assert run(capsys, "verify", "--model", "h3", "--checks", " , ") == (2, "", "error: empty check list\n")
+
+
 def test_iso_command(tmp_path, capsys):
     a = tmp_path / "h3.json"
     b = tmp_path / "part.json"
@@ -258,6 +262,26 @@ def test_loading_rejects_names_and_labels_that_are_not_strings(tmp_path, capsys,
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"points": [], "lines": []}, "geometry document missing field: 'name'"),
+        ({"name": "x", "lines": []}, "geometry document missing field: 'points'"),
+        ({"name": "x", "points": []}, "geometry document missing field: 'lines'"),
+        ({"name": "x", "points": {}, "lines": []}, "'points' and 'lines' must be arrays"),
+        ({"name": "x", "points": [], "lines": "[]"}, "'points' and 'lines' must be arrays"),
+    ],
+    ids=["no-name", "no-points", "no-lines", "object-points", "string-lines"],
+)
+def test_iso_rejects_documents_without_their_fields(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "w2.json"
+    run(capsys, "build", "--model", "w2", "--out", str(good))
+    for first, second in ((good, bad), (bad, good)):
+        assert run(capsys, "iso", str(first), str(second)) == (2, "", f"error: {message}\n")
 
 
 def test_missing_label_defaults_to_the_id():

@@ -43,6 +43,11 @@ def test_geometry_rejects_short_and_out_of_range_lines():
         Geometry(2, ((0, 1),), labels=("a",))
 
 
+def test_geometry_rejects_a_negative_point_count():
+    with pytest.raises(GeometryError, match=r"^negative point count$"):
+        Geometry(-1, ())
+
+
 @pytest.mark.parametrize(
     "count, lines",
     [
@@ -107,6 +112,23 @@ def test_perp_of_a_line_is_the_line(w2):
 def test_perp_of_complete_triad(w2):
     got = perp(w2, {E["12"], E["13"], E["23"]})
     assert got == {E["45"], E["46"], E["56"]}
+
+
+def closed_neighbourhoods(g):
+    """Per point, the mask of the point and every point on a line through
+    it, by a scan of the lines."""
+    return tuple(mask_of({p}.union(*(l for l in g.lines if p in l))) for p in range(g.point_count))
+
+
+@given(small_geometries())
+@settings(max_examples=200, deadline=None)
+def test_perps_are_the_closed_neighbourhoods_on_small_geometries(g):
+    assert g.perps == closed_neighbourhoods(g)
+
+
+def test_perps_are_the_closed_neighbourhoods_on_the_models(w2, h3, dsp, h3_partitions, h3_debruyn):
+    for g in (w2, h3, dsp, h3_partitions, h3_debruyn):
+        assert g.perps == closed_neighbourhoods(g)
 
 
 def test_perp_usage_errors(w2):

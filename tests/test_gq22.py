@@ -1,6 +1,7 @@
 """The edge/factor quadrangle and its triad structure, scanned exhaustively."""
 
 from collections import Counter
+from dataclasses import astuple
 from itertools import combinations
 
 import pytest
@@ -315,6 +316,26 @@ def test_subgq_rejects_complete_triads(w2):
     t = next(t for t in enumerate_triads(w2, "points") if t.kind == "complete")
     with pytest.raises(GeometryError):
         incomplete_triad_subgq(w2, t)
+
+
+def test_subgq_rejects_line_triads(w2):
+    t = next(t for t in enumerate_triads(w2, "lines") if t.kind == "incomplete")
+    with pytest.raises(GeometryError, match=r"^grid search applies to point triads$"):
+        incomplete_triad_subgq(w2, t)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["w2", "dual"])
+def test_complete_triad_through_is_the_enumerated_triad(w2, dual):
+    """Each non-collinear pair gives, field for field, the complete triad
+    of ``enumerate_triads`` that holds it."""
+    g = dual_geometry(w2) if dual else w2
+    complete = [t for t in enumerate_triads(g) if t.kind == "complete"]
+    pairs = [(x, y) for x, y in combinations(range(15), 2) if not collinear(g, x, y)]
+    assert len(pairs) == 60
+    for x, y in pairs:
+        (want,) = [t for t in complete if {x, y} <= set(t.elements)]
+        got = complete_triad_through(g, x, y)
+        assert astuple(got) == astuple(want)
 
 
 def test_complete_triad_through(w2):

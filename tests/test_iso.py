@@ -421,6 +421,11 @@ def networkx_isomorphic(nx, a, b):
     return nx.vf2pp_is_isomorphic(incidence_graph(nx, a), incidence_graph(nx, b), node_label="label")
 
 
+def test_a_verdict_is_true_exactly_when_isomorphic(w2, grid33):
+    assert bool(are_isomorphic(w2, dual_geometry(w2))) is True
+    assert bool(are_isomorphic(w2, grid33)) is False
+
+
 def test_sts13_verdict_agrees_with_networkx():
     """Independent cross-check of the isomorphism decision procedure.
 

@@ -105,6 +105,13 @@ def test_check_np_rejects_disconnected():
         check_np(g)
 
 
+def test_enumerate_quads_rejects_a_connected_geometry_that_is_not_a_near_polygon():
+    # each point of a triangle is collinear with both points of the opposite line
+    triangle = Geometry(3, ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(GeometryError, match=r"^quad enumeration expects a near polygon$"):
+        enumerate_quads(triangle)
+
+
 def test_line_distance_profiles(h3, dsp):
     assert line_distance_profiles(h3) == {(1, 2, 2): 6300, (2, 3, 3): 15120}
     profiles = line_distance_profiles(dsp)
