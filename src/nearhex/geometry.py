@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 UNREACHABLE = -1
 
@@ -244,17 +244,11 @@ class Geometry:
         One level pass per line: at level ``k`` each line point's sphere
         ``S_k``, minus the points already reached, is added into bit-sliced
         count planes (bit ``i`` of a point's count is its bit in
-        ``planes[i]``), so lines of any size count exactly.  The passes run
-        line by line in :meth:`_walk_line_levels`, so that ``np_verdict``
-        can stop at the first failing line; a passing ``np_verdict`` stores
-        this whole census on its way.
+        ``planes[i]``), so lines of any size count exactly.
         """
-        return tuple(self._walk_line_levels())
-
-    def _walk_line_levels(self) -> Iterator[tuple[tuple[int, int, int], ...]]:
-        """The groups of each line of ``line_levels``, one line at a time."""
         spheres = self.distance_spheres
         full = self.full_mask
+        census = []
         for line, seen in zip(self.lines, self.line_masks):
             line_spheres = [spheres[p] for p in line]
             groups = []
@@ -288,7 +282,8 @@ class Geometry:
             if seen != full:
                 groups.append((UNREACHABLE, len(line), full & ~seen))
             groups.sort(key=lambda group: group[2] & -group[2])
-            yield tuple(groups)
+            census.append(tuple(groups))
+        return tuple(census)
 
     @cached_property
     def np_verdict(self) -> NpVerdict:
@@ -298,22 +293,14 @@ class Geometry:
 
         Read off ``line_levels``: a line fails when it reaches some point
         through two or more of its points at once.  The witness is the
-        lowest such point on the lowest-indexed failing line.  When the
-        census is not built yet, its lines are walked in order and the walk
-        stops at the first failing line; a geometry that passes keeps the
-        whole census as ``line_levels``.
+        lowest such point on the lowest-indexed failing line.
         """
         if not metrics(self).connected:
             raise GeometryError("near-polygon check requires a connected geometry")
-        levels = vars(self).get("line_levels")
-        walked = []
-        for li, groups in enumerate(self._walk_line_levels() if levels is None else levels):
+        for li, groups in enumerate(self.line_levels):
             bad = sum(mask for _, m, mask in groups if m >= 2)  # groups are disjoint
             if bad:
                 return NpVerdict(False, ((bad & -bad).bit_length() - 1, li))
-            walked.append(groups)
-        if levels is None:
-            vars(self)["line_levels"] = tuple(walked)
         return NpVerdict(True, None)
 
     @cached_property

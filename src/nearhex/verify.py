@@ -117,46 +117,41 @@ class QuadRecord:
 
 def _classify_quad(g: Geometry, members: list[int], m: int, one_point) -> QuadRecord:
     """Classify a closure on ``g``'s bitmasks, without building the geometry
-    it induces: its collinearity graph must have diameter 2 with no point
-    collinear with all others, and the axioms of :func:`is_gq` then name
-    its order.  A witness names the first failure, by ``g``'s point and
-    line indices.
+    it induces: the axioms of :func:`is_gq` name its order.  A witness
+    names the first failure, by ``g``'s point and line indices.
 
     The closure is given as its points in increasing order and their
     bitmask ``m``.  It must be convex and a subspace, as every closure from
     :func:`nearhex.geometry._closure_groups` is.  Then a line of ``g`` with
     two of its points lies inside it, so its collinearity is ``g``'s
     ``adjacency`` masked to it, and every geodesic between two of its
-    points stays inside, so its distances are ``g``'s.  One pass decides
-    the shape: each member's non-neighbours in the closure must be nonempty
-    and lie in its sphere ``S_2``, which holds exactly when the closure is
-    connected, of diameter 2, with no point collinear with all others.
-    Only a closure that fails it runs :func:`_shape_witness`.  The lines
-    inside come from :func:`nearhex.geometry._lines_inside`, and
+    points stays inside, so its distances are ``g``'s.  A quadrangle with
+    s, t >= 1 on it is connected, has diameter 2 and has no point
+    collinear with all others, so the axioms alone decide the kinds
+    ``grid21`` and ``gq22``; only a closure of neither runs
+    :func:`_shape_witness`, whose failure comes first in its witness.  The
+    lines inside come from :func:`nearhex.geometry._lines_inside`, and
     ``one_point`` holds the one-point mask of each of them, read off
     ``adjacency``: inside a subspace it agrees with the induced geometry's.
     """
-    adj, spheres = g.adjacency, g.distance_spheres
-    for p in members:
-        layers = spheres[p]
-        two = layers[2] if len(layers) > 2 else 0
-        if not m & two or m & ~(adj[p] | two) != 1 << p:
-            return QuadRecord(frozenset(members), "other", None, _shape_witness(g, members, m))
-    verdict: GqVerdict = _gq_axioms(g, m, _lines_inside(g, members, m), adj, one_point)
+    verdict: GqVerdict = _gq_axioms(g, m, _lines_inside(g, members, m), g.adjacency, one_point)
     pts = frozenset(members)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
     if verdict.order == (2, 2):
         return QuadRecord(pts, "gq22", verdict.order)
+    shape = _shape_witness(g, members, m)
+    if shape is not None:
+        return QuadRecord(pts, "other", None, shape)
     witness = f"generalized quadrangle of order {verdict.order}" if verdict.ok else verdict.witness
     return QuadRecord(pts, "other", verdict.order, witness)
 
 
-def _shape_witness(g: Geometry, members: list[int], m: int) -> str:
+def _shape_witness(g: Geometry, members: list[int], m: int) -> str | None:
     """Why a closure is not connected of diameter 2 with no point collinear
-    with all others, the first failure in that order: it is connected when
-    its first point's spheres cover it, and its diameter is the farthest
-    sphere of a member that meets it."""
+    with all others, the first failure in that order, or ``None`` when it
+    is: it is connected when its first point's spheres cover it, and its
+    diameter is the farthest sphere of a member that meets it."""
     adj, spheres = g.adjacency, g.distance_spheres
     if sum(spheres[members[0]]) & m != m:
         return "closure is disconnected"
@@ -169,7 +164,8 @@ def _shape_witness(g: Geometry, members: list[int], m: int) -> str:
         diameter = max(diameter, k)
     if diameter != 2:
         return f"closure has diameter {diameter}"
-    return next(f"point {p} adjacent to all others" for p in members if adj[p] & m == m & ~(1 << p))
+    spanning = (p for p in members if adj[p] & m == m & ~(1 << p))
+    return next((f"point {p} adjacent to all others" for p in spanning), None)
 
 
 def enumerate_quads(g: Geometry) -> list[QuadRecord]:

@@ -147,6 +147,20 @@ def test_common_counts_count_a_neighbour_on_two_lines_once():
     assert g.common_counts == common_counts_by_pairs(g)
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 33])
+def test_common_counts_past_the_first_high_plane(n):
+    # K(2, n) as 2-point lines: the two points of the small side have n
+    # common neighbours, so from n = 8 the counts carry past the first
+    # plane above the two low ones
+    rng = random.Random(n)
+    base = Geometry(n + 2, tuple((a, b) for a in (0, 1) for b in range(2, n + 2)))
+    perm = list(range(base.point_count))
+    rng.shuffle(perm)
+    for g, (x, y) in ((base, (0, 1)), (relabel(base, perm), sorted(perm[:2]))):
+        assert g.common_counts[x] == {n: 1 << y}
+        assert g.common_counts == common_counts_by_pairs(g)
+
+
 def test_common_counts_of_the_models(w2, h3, dsp, h3_partitions, h3_debruyn):
     # gq24's distance-2 pairs have five common neighbours: three planes
     rng = random.Random(29)
@@ -484,15 +498,6 @@ def test_closure_groups_partition_the_qualifying_pairs(h3, dsp):
         assert_closure_groups_partition_the_seeds(g, pairs, reference_convex_closures(g, pairs))
 
 
-def np_verdict_of_the_census(levels):
-    """The near-polygon verdict read off a whole ``line_levels`` census."""
-    for li, groups in enumerate(levels):
-        bad = sum(mask for _, m, mask in groups if m >= 2)
-        if bad:
-            return (False, ((bad & -bad).bit_length() - 1, li))
-    return (True, None)
-
-
 def test_check_np_stops_at_the_first_failing_line(h3, dsp):
     rng = random.Random(19)
     for base in (h3, dsp) * 3:
@@ -503,10 +508,43 @@ def test_check_np_stops_at_the_first_failing_line(h3, dsp):
         rng.shuffle(perm)
         g = relabel(Geometry(base.point_count, tuple(lines)), perm)
         verdict = check_np(g)
-        assert "line_levels" not in vars(g)
-        fresh = Geometry(g.point_count, g.lines)
         assert not verdict.ok
-        assert tuple(verdict) == np_verdict_of_the_census(fresh.line_levels)
+        assert tuple(verdict) == check_np_by_rows(g)
+
+
+def np_outcome(g):
+    """``check_np``'s verdict as a tuple, or the message it raises."""
+    try:
+        return tuple(check_np(g))
+    except GeometryError as exc:
+        return str(exc)
+
+
+def test_check_np_does_not_depend_on_the_profiles_running_first(
+    w2, h3, dsp, h3_partitions, h3_debruyn
+):
+    """The same verdict on two fresh copies of a geometry, one of which
+    built its census through ``line_distance_profiles`` first: the five
+    models, and mutants of each with 1 to 3 lines deleted."""
+    rng = random.Random(37)
+    for base in (w2, h3, dsp, h3_partitions, h3_debruyn):
+        variants = [base.lines]
+        for count in (1, 2, 3):
+            drop = set(rng.sample(range(len(base.lines)), count))
+            variants.append(tuple(line for i, line in enumerate(base.lines) if i not in drop))
+        for lines in variants:
+            cold = Geometry(base.point_count, lines)
+            warm = Geometry(base.point_count, lines)
+            line_distance_profiles(warm)
+            assert "line_levels" in vars(warm) and "line_levels" not in vars(cold)
+            outcome = np_outcome(cold)
+            assert np_outcome(warm) == outcome
+            if lines is base.lines:
+                assert outcome == (True, None)
+            elif all(UNREACHABLE not in row for row in cold.distance_rows):
+                assert outcome == check_np_by_rows(cold)
+            else:
+                assert outcome == "near-polygon check requires a connected geometry"
 
 
 def test_check_np_keeps_the_census_of_a_passing_model(w2, h3, dsp):

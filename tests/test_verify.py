@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nearhex.verify
 from nearhex import (
     Geometry,
     GeometryError,
@@ -148,6 +149,20 @@ def test_quads_dsp(dsp):
     records = enumerate_quads(dsp)
     census = Counter((r.kind, len(r.points)) for r in records)
     assert census == {("gq22", 15): 63}
+
+
+def test_enumerate_quads_names_the_quads_by_the_axioms_alone(
+    w2, h3, dsp, h3_partitions, h3_debruyn, monkeypatch
+):
+    """Every closure of the five models' censuses is a quad, so no shape
+    test runs on any of them."""
+
+    def refuse(g, members, m):
+        raise AssertionError(f"shape test ran on {members}")
+
+    monkeypatch.setattr(nearhex.verify, "_shape_witness", refuse)
+    for g in (w2, h3, dsp, h3_partitions, h3_debruyn):
+        assert {r.kind for r in enumerate_quads(g)} <= {"grid21", "gq22"}
 
 
 def classify(g, pts):
