@@ -67,7 +67,7 @@ class _Checker:
         witness prefixed with the model and check names, and return it."""
         result = run_check(check, model, g)
         self.ok = self.ok and result.ok
-        for witness in result.witnesses:
+        for witness in sorted(result.witnesses):
             self.expect(False, f"{model} {check}: {witness}")
         return result
 

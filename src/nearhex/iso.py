@@ -633,14 +633,6 @@ def _invariant_mismatch(g1: Geometry, g2: Geometry) -> str | None:
         return "line size multisets differ"
     if sorted(map(len, g1.lines_by_point)) != sorted(map(len, g2.lines_by_point)):
         return "degree sequences differ"
-
-    # with equal point counts, the sphere sizes of a point fix its distance
-    # histogram, unreachable points included
-    def dist_census(g: Geometry):
-        return sorted(tuple(map(int.bit_count, layers)) for layers in g.distance_spheres)
-
-    if dist_census(g1) != dist_census(g2):
-        return "distance distributions differ"
     return None
 
 

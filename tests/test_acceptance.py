@@ -10,7 +10,9 @@ from dataclasses import replace
 
 import pytest
 
-from nearhex.acceptance import _criterion, acceptance_report, criterion_8, run_acceptance
+from nearhex import Geometry
+from nearhex.acceptance import _Checker, _criterion, acceptance_report, criterion_8, run_acceptance
+from nearhex.cli import _entry
 from nearhex.iso import are_isomorphic_to
 
 
@@ -192,3 +194,16 @@ def test_criterion_decorator_builds_the_result():
     assert r.runtime >= 0
     assert _criterion(11, "no limit", None)(body)({}, None).verdict == "info"
     assert _criterion(11, "nothing to fail", 1.0)(lambda c, models, census: {})({}, None).verdict == "pass"
+
+
+def test_checker_keeps_the_witnesses_verify_lists():
+    """Thirteen lines through the pair {0, 1} give 12 ``pls`` violations,
+    more than the 10 kept: the criterion path keeps the same 10 as
+    ``nearhex verify``, the first in sorted order."""
+    g = Geometry(15, tuple((0, 1, k) for k in range(2, 15)))
+    c = _Checker()
+    assert c.check("pls", "w2", g).counts == {"violations": 12}
+    assert not c.ok
+    kept = [w.removeprefix("w2 pls: ") for w in c.witnesses]
+    assert kept == _entry("pls", "w2", g)["witnesses"]
+    assert kept == [f"((0, 1), 0, {k})" for k in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7)]

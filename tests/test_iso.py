@@ -10,10 +10,10 @@ replaced, kept here as the reference, against a brute-force test of
 equitability, and against a relabeled copy that replays its trace to the
 image partition, on the incidence graphs of small random geometries; a
 traced and an untraced run leave the same partition, and a replay that
-stops at an altered entry leaves whole bookkeeping.  The
-cheap invariants are checked against a form that takes the distance
-census from histograms of the ``distance_rows`` rows, kept here as the
-reference too.  The automorphism group order that the walker reports is
+stops at an altered entry leaves whole bookkeeping.  Verdicts on pairs
+of small geometries with equal point counts, many of which pass the
+cheap invariants, are checked against networkx on the incidence graphs;
+the guided walk alone decides each pair that passes them.  The automorphism group order that the walker reports is
 checked against a stabiliser-chain count by plain backtracking, and
 against the known group orders of the five models.  A corpus of Steiner
 triple systems a few Pasch switches from the cyclic STS(13) or PG(3,2),
@@ -187,41 +187,32 @@ def test_same_counts_different_line_sizes():
     assert verdict.detail == "line size multisets differ"
 
 
-def test_distance_census_separates_a_hexagon_from_two_triangles():
+def test_the_walk_separates_a_hexagon_from_two_triangles():
     # six 2-point lines each, so the same counts, line sizes and degrees,
-    # but the two triangles are disconnected
+    # but the two triangles are disconnected; the walk alone tells them
+    # apart, in either order
     hexagon = Geometry(6, tuple((i, (i + 1) % 6) for i in range(6)))
     triangles = Geometry(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
-    verdict = are_isomorphic(hexagon, triangles)
-    assert not verdict.isomorphic
-    assert verdict.mapping is None
-    assert verdict.detail == "distance distributions differ"
+    for pair in ((hexagon, triangles), (triangles, hexagon)):
+        assert _invariant_mismatch(*pair) is None
+        verdict = are_isomorphic(*pair)
+        assert not verdict.isomorphic
+        assert verdict.mapping is None
+        assert verdict.detail == "refinement search exhausted: no line-preserving bijection"
 
 
-def invariant_mismatch_by_rows(g1, g2):
-    """``_invariant_mismatch`` with a histogram of each ``distance_rows``
-    row as the distance census: the reference for the sphere sizes."""
-    if g1.point_count != g2.point_count:
-        return f"point counts differ: {g1.point_count} vs {g2.point_count}"
-    if len(g1.lines) != len(g2.lines):
-        return f"line counts differ: {len(g1.lines)} vs {len(g2.lines)}"
-    if sorted(map(len, g1.lines)) != sorted(map(len, g2.lines)):
-        return "line size multisets differ"
-    if sorted(map(len, g1.lines_by_point)) != sorted(map(len, g2.lines_by_point)):
-        return "degree sequences differ"
-
-    def dist_census(g):
-        out = []
-        for row in g.distance_rows:
-            hist = {}
-            for d in row:
-                hist[d] = hist.get(d, 0) + 1
-            out.append(tuple(sorted(hist.items())))
-        return sorted(out)
-
-    if dist_census(g1) != dist_census(g2):
-        return "distance distributions differ"
-    return None
+def test_are_isomorphic_builds_no_distance_spheres(w2, h3, h3_partitions, h3_debruyn, dsp):
+    """The verdict on two cold relabelings of each model leaves the lazy
+    ``distance_spheres`` unbuilt on both sides."""
+    rng = random.Random(31)
+    for g in (w2, h3, h3_partitions, h3_debruyn, dsp):
+        perms = [list(range(g.point_count)) for _ in range(2)]
+        for perm in perms:
+            rng.shuffle(perm)
+        a, b = (relabel(g, perm) for perm in perms)
+        assert are_isomorphic(a, b).isomorphic
+        assert "distance_spheres" not in vars(a)
+        assert "distance_spheres" not in vars(b)
 
 
 @st.composite
@@ -229,7 +220,7 @@ def equal_size_pairs(draw):
     """Two geometries on the same number of points: either two independent
     ones, the smaller padded with isolated points, or one and a relabeled
     copy in which pairs of lines traded a point, which keeps line sizes
-    and degrees, so that the distance census decides."""
+    and degrees, so that the guided walk decides."""
     if draw(st.booleans()):
         g1, g2 = draw(small_geometries()), draw(small_geometries())
         n = max(g1.point_count, g2.point_count)
@@ -247,11 +238,34 @@ def equal_size_pairs(draw):
     return g1, Geometry(g1.point_count, tuple(tuple(perm[p] for p in line) for line in lines))
 
 
+def side_labelled_incidence_graph(nx, g):
+    """The incidence graph, each vertex labelled point or line."""
+    graph = nx.Graph()
+    graph.add_nodes_from((("p", p) for p in range(g.point_count)), side="p")
+    for li, line in enumerate(g.lines):
+        graph.add_node(("l", li), side="l")
+        graph.add_edges_from((("p", p), ("l", li)) for p in line)
+    return graph
+
+
 @given(equal_size_pairs())
 @settings(max_examples=300, deadline=None)
-def test_invariant_mismatch_matches_the_row_census(pair):
+def test_verdicts_match_networkx_on_equal_size_pairs(pair):
+    """The verdict is networkx ``vf2pp``'s on the side-labelled incidence
+    graphs, every mapping carries lines onto lines, and a pair that passes
+    the cheap invariants yet is not isomorphic is refused by the walk."""
+    nx = pytest.importorskip("networkx")
     g1, g2 = pair
-    assert _invariant_mismatch(g1, g2) == invariant_mismatch_by_rows(g1, g2)
+    verdict = are_isomorphic(g1, g2)
+    graphs = (side_labelled_incidence_graph(nx, g) for g in pair)
+    assert verdict.isomorphic == nx.vf2pp_is_isomorphic(*graphs, node_label="side")
+    mismatch = _invariant_mismatch(g1, g2)
+    if verdict.isomorphic:
+        assert_mapping_valid(g1, g2, verdict.mapping)
+    elif mismatch is None:
+        assert verdict.detail.startswith("refinement search exhausted")
+    else:
+        assert verdict.detail == mismatch
 
 
 def test_grid_not_isomorphic_to_its_dual(grid33):
