@@ -141,8 +141,8 @@ class DebruynCensus:
     ``escort_triads`` records, for each of the 120 swap-type lines, the point
     triad {x',y',z'} used to build it, classified complete/incomplete.
     Descriptions of this construction sometimes call these triads
-    incomplete; the census records what actually happens instead of
-    asserting either reading.
+    incomplete; :func:`debruyn_census` argues that each is complete, and
+    the census records the kinds it finds instead of asserting either.
     """
 
     geometry: Geometry
@@ -184,7 +184,13 @@ def debruyn_census() -> DebruynCensus:
       other lines meeting k and m -- z is collinear with one point of
       each, not along c, which misses them, and a line through z meets
       both or neither -- and it is n.  So the result is a partial linear
-      space.
+      space;
+    - each escort triad is complete, with perp {x'', y'', z''}, the third
+      points of k = {x, x', x''}, m and n: y' ~ x'', as y' is collinear
+      with one point of k, not x (a triangle with y) nor x'; so too
+      z' ~ x''.  The construction is symmetric in k, m and n (x' and z'
+      are the points of k and n, not x or z, off y'^perp), so y'' and z''
+      join x'' in the perp, which has 1 or 3 points, so is these three.
 
     The tests and ``nearhex verify`` check these facts on the result.
     The labels share W(2)'s Edge objects.

@@ -274,7 +274,8 @@ EXPECTED: dict[str, ModelFacts] = {
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Outcome of one case of a pair classification scan."""
+    """Outcome of one case of a pair classification scan, ``ok`` exactly
+    when it has no witnesses, as :func:`_case_scan` lists them."""
 
     case: str
     pair_count: int
@@ -376,8 +377,8 @@ def _case_scan(g: Geometry, rows: list[dict[str, int]], table: dict[str, Case]) 
     distance 2 and, for the pairs at distance 2 alone, the count of common
     neighbours: each count's mask of ``g.common_counts[i]``, masked to the
     row, joins that count's part, so a count of 1 merges with the collinear
-    part.  Each case keeps its first 10 failing pairs in ``(i, j)``
-    order as witnesses.
+    part.  A case fails exactly when it has witnesses: a wrong pair count
+    first, then its failing pairs in ``(i, j)`` order, 10 in all at most.
     """
     adj, spheres, common, names = g.adjacency, g.distance_spheres, g.common_counts, g.labels
     found = {case: ({}, []) for case in table}  # histogram, witnesses
@@ -411,10 +412,11 @@ def _case_scan(g: Geometry, rows: list[dict[str, int]], table: dict[str, Case]) 
                 )
     reports = []
     for case, (hist, witnesses) in found.items():
-        n = sum(hist.values())
-        ok = not witnesses and n == table[case].pairs
+        n, want = sum(hist.values()), table[case].pairs
+        if n != want:
+            witnesses = [f"case {case}: {n} pairs, expected {want}", *witnesses[:9]]
         reports.append(CaseReport(
-            case, n, table[case].text, dict(sorted(hist.items())), ok, tuple(sorted(witnesses))
+            case, n, table[case].text, dict(sorted(hist.items())), not witnesses, tuple(witnesses)
         ))
     return reports
 
@@ -444,7 +446,7 @@ def dsp_case_analysis(g: Geometry, h3_points: Iterable[int]) -> list[CaseReport]
 
 class Check(NamedTuple):
     """The verdict of one of ``CHECKS`` on a model: pass or fail, what it
-    counted, and witnesses naming the failure, at least one when it fails."""
+    counted, and witnesses in the order found, exactly when it fails."""
 
     ok: bool
     counts: dict
@@ -513,22 +515,16 @@ def run_check(check: str, model: str, g: Geometry) -> Check:
         records = enumerate_quads(g)
         kinds = dict(Counter(r.kind for r in records))
         witnesses = [f"quad {sorted(r.points)[:4]}...: {r.witness}" for r in records if r.kind == "other"]
-        ok = set(kinds) == facts.quad_kinds
-        if not ok:
+        if set(kinds) != facts.quad_kinds:
             witnesses.append(f"quad kinds {sorted(kinds)}, expected {sorted(facts.quad_kinds)}")
-        return Check(ok, {"kinds": kinds}, witnesses)
+        return Check(not witnesses, {"kinds": kinds}, witnesses)
     if check == "cases":
         if facts.cases is None:
             raise GeometryError(f"check 'cases' needs labelled pair points; model {model!r} has none")
         reports = h3_case_analysis(g) if facts.hexagon is None else dsp_case_analysis(g, facts.hexagon)
         counts = {r.case: {"pairs": r.pair_count, "observed": r.observed} for r in reports}
-        witnesses = [
-            f"case {r.case}: {r.pair_count} pairs, expected {facts.cases[r.case].pairs}"
-            for r in reports
-            if r.pair_count != facts.cases[r.case].pairs
-        ]
-        witnesses += [w for r in reports for w in r.witnesses]
-        return Check(all(r.ok for r in reports), counts, witnesses)
+        witnesses = [w for r in reports for w in r.witnesses]
+        return Check(not witnesses, counts, witnesses)
     if check == "hyperplane":
         if facts.hexagon is None:
             raise GeometryError(f"check 'hyperplane' needs an embedded hexagon; model {model!r} has none")

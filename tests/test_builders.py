@@ -325,6 +325,41 @@ def test_debruyn_escort_triads_recorded(debruyn):
     assert kinds == {"complete": 120, "incomplete": 0}
 
 
+def test_debruyn_escort_perps_are_the_third_points(w2, debruyn):
+    """The argument in ``debruyn_census``, checked on every swap line: the
+    escort triad {x', y', z'} has perp {x'', y'', z''}, the third points of
+    k, m and n.  With y in place of y', or x in place of x', the three
+    points stay pairwise non-collinear, but the perp shrinks to y'' or x''
+    alone, so the mates, not any points off the centre, make it complete."""
+    adj, perps, masks = w2.adjacency, w2.perps, w2.line_masks
+
+    def perp(*points):
+        a, b, c = points
+        assert not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1), points
+        return perps[a] & perps[b] & perps[c]
+
+    escorts, mixed = [], 0
+    for triad in enumerate_triads(w2, "lines"):
+        if triad.kind != "incomplete":
+            continue
+        (centre,) = triad.perp_set
+        k, m, n = (masks[li] for li in triad.elements)
+        (x,), (y,), (z,) = (bits_of(line & masks[centre]) for line in (k, m, n))
+        for xp in bits_of(k & ~(1 << x)):
+            (yp,) = bits_of(m & ~(adj[xp] | 1 << y))
+            (zp,) = bits_of(n & ~(adj[xp] | 1 << z))
+            (xpp,) = bits_of(k & ~(1 << x | 1 << xp))
+            (ypp,) = bits_of(m & ~(1 << y | 1 << yp))
+            (zpp,) = bits_of(n & ~(1 << z | 1 << zp))
+            assert perp(xp, yp, zp) == 1 << xpp | 1 << ypp | 1 << zpp
+            assert perp(xp, y, zp) == 1 << ypp
+            assert perp(x, yp, zp) == 1 << xpp
+            escorts.append((tuple(sorted((xp, yp, zp))), {xpp, ypp, zpp}))
+            mixed += 2
+    assert (len(escorts), mixed) == (120, 240)
+    assert [(t.elements, t.perp_set) for t in debruyn.escort_triads] == escorts
+
+
 def test_debruyn_escort_check_fires(monkeypatch):
     """An escort triad whose perp has 2 points stops the census: each is
     classified with its first point's closed neighbourhood one centre short."""

@@ -98,10 +98,11 @@ def reference_case_scan(g: Geometry, table, pairs) -> list[CaseReport]:
     reports = []
     for case, (hist, witnesses) in found.items():
         n = sum(hist.values())
-        ok = not witnesses and n == table[case].pairs
-        reports.append(CaseReport(
-            case, n, table[case].text, dict(sorted(hist.items())), ok, tuple(sorted(witnesses))
-        ))
+        if n != table[case].pairs:
+            witnesses.insert(0, f"case {case}: {n} pairs, expected {table[case].pairs}")
+        witnesses = tuple(witnesses[:10])
+        ok = not hist.keys() - {table[case].value} and n == table[case].pairs
+        reports.append(CaseReport(case, n, table[case].text, dict(sorted(hist.items())), ok, witnesses))
     return reports
 
 
@@ -179,6 +180,10 @@ def test_mask_scan_matches_the_reference_on_mutants(h3, dsp):
         ):
             seen.add("common pair with one common neighbour")
         for r in want:
+            assert r.ok == (not r.witnesses), r
+            if r.pair_count != table[r.case].pairs:
+                assert r.witnesses[0] == f"case {r.case}: {r.pair_count} pairs, expected {table[r.case].pairs}"
+                seen.add("wrong pair count")
             if table[r.case].measure == "common" and 1 in r.observed and intact:
                 seen.add("common pair collinear")
             if table[r.case].measure == "distance" and UNREACHABLE in r.observed:
@@ -190,7 +195,7 @@ def test_mask_scan_matches_the_reference_on_mutants(h3, dsp):
         seen.add("fails" if not all(r.ok for r in want) else "passes")
     assert seen == {
         "common pair collinear", "common pair with one common neighbour", "unreachable pair",
-        "more than 10 failures", "fails", "passes",
+        "more than 10 failures", "wrong pair count", "fails", "passes",
     }
 
 

@@ -331,8 +331,8 @@ def test_report_fails_when_a_model_is_broken(monkeypatch, capsys):
     # is searched directly instead of composed
     criterion = doc["criteria"][7]
     assert criterion["witnesses"] == [
-        "h3-partition~h3-debruyn: line counts differ: 209 vs 210",
         "h3~h3-partition: line counts differ: 210 vs 209",
+        "h3-partition~h3-debruyn: line counts differ: 209 vs 210",
     ]
     assert criterion["counts"]["h3~h3-debruyn"] is True
 

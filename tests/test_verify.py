@@ -469,11 +469,13 @@ def _with_line_through_two_collinear_points(g: Geometry) -> Geometry:
     return Geometry(g.point_count, g.lines + ((a, b, z),), g.labels)
 
 
-def test_every_check_fails_on_a_mutant(w2, h3, dsp):
+def test_every_check_fails_on_a_mutant(w2, h3, dsp, h3_partitions, h3_debruyn):
     """For each of CHECKS, a model broken for it fails, with a witness that
     names the failure: an extra line through two collinear points of W(2),
     a line deleted from h3, h3 judged as dsp62, and dsp62 with its first and
-    last point swapped, so that points 0..104 are no longer the hexagon."""
+    last point swapped, so that points 0..104 are no longer the hexagon.
+    Every check that applies, run on each mutant and each intact model,
+    fails exactly when it names a witness; the intact models pass."""
     plus_line = _with_line_through_two_collinear_points(w2)
     a, b, _ = w2.lines[0]
     less_line = Geometry(h3.point_count, h3.lines[1:], h3.labels)
@@ -494,6 +496,20 @@ def test_every_check_fails_on_a_mutant(w2, h3, dsp):
         assert any(w.startswith(witness) for w in witnesses), (check, witnesses)
     assert run_check("pls", "w2", plus_line).counts == {"violations": 1}
     assert 0 in run_check("dense", "h3", less_line).counts["t2_values"]
+    broken = [("w2", plus_line), ("h3", less_line), ("dsp62", h3), ("dsp62", swapped)]
+    intact = {"w2": w2, "h3": h3, "h3-partition": h3_partitions, "h3-debruyn": h3_debruyn, "dsp62": dsp}
+    refused = set()
+    for k, (model, g) in enumerate([*broken, *intact.items()]):
+        for check in default_checks(model):
+            try:
+                ok, counts, witnesses = run_check(check, model, g)
+            except GeometryError:
+                refused.add((k, check))
+                continue
+            assert ok == (not witnesses), (model, check, witnesses)
+            assert ok or k < len(broken), (model, check, witnesses)
+    # quads need a near polygon, and dsp62's cases its hexagon on points 0..104
+    assert refused == {(0, "quads"), (1, "quads"), (3, "cases")}
 
 
 def test_failing_checks_name_each_unmet_expectation(monkeypatch, w2, h3):
