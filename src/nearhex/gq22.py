@@ -87,14 +87,15 @@ def is_gq(g: Geometry, points: Iterable[int] | None = None) -> GqVerdict:
     checked as by ``geometry._check_points``.
     """
     m = g.full_mask if points is None else mask_of(_check_points(g, points))
-    inside = _lines_inside(g, bits_of(m), m)
+    members = bits_of(m)
+    inside = _lines_inside(g, members, m)
     lines, line_masks = g.lines, g.line_masks
     nbr = [0] * g.point_count
     for i in inside:
         lm = line_masks[i]
         for p in lines[i]:
             nbr[p] |= lm ^ 1 << p
-    return _gq_axioms(g, m, inside, nbr, _one_point_masks(g, nbr, inside))
+    return _gq_axioms(g, members, m, inside, nbr, _one_point_masks(g, nbr, inside))
 
 
 def _one_point_masks(g: Geometry, nbr, indices) -> dict[int, int]:
@@ -113,9 +114,10 @@ def _one_point_masks(g: Geometry, nbr, indices) -> dict[int, int]:
     return out
 
 
-def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr, one_point) -> GqVerdict:
-    """The quadrangle axioms of :func:`is_gq` on the geometry induced on the
-    point set ``m``, given as ``g``'s bitmasks: ``inside`` lists the indices
+def _gq_axioms(g: Geometry, members: list[int], m: int, inside: list[int], nbr, one_point) -> GqVerdict:
+    """The quadrangle axioms of :func:`is_gq` on the geometry induced on a
+    point set, given as its points ``members`` in increasing order and
+    their bitmask ``m``, on ``g``'s bitmasks: ``inside`` lists the indices
     of its lines in increasing order, ``nbr[p] & m`` is the neighbourhood
     of each point ``p`` of it, and ``one_point[i]`` is the one-point mask of
     each line ``i`` of it (:func:`_one_point_masks`), which may be read off
@@ -132,8 +134,8 @@ def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr, one_point) -> GqVerd
     of them, so a line in several sets is not worked out again in each.
     """
     lines, line_masks = g.lines, g.line_masks
-    valence = {p: (nbr[p] & m).bit_count() for p in bits_of(m)}
-    if sum(valence.values()) != sum(len(lines[i]) * (len(lines[i]) - 1) for i in inside):
+    valence = [(nbr[p] & m).bit_count() for p in members]
+    if sum(valence) != sum(len(lines[i]) * (len(lines[i]) - 1) for i in inside):
         first: dict[tuple[int, int], int] = {}
         for i in inside:
             for pair in combinations(lines[i], 2):
@@ -147,7 +149,7 @@ def _gq_axioms(g: Geometry, m: int, inside: list[int], nbr, one_point) -> GqVerd
     if len(sizes) != 1:
         return GqVerdict(None, f"line sizes vary: {sorted(sizes)}")
     s = sizes.pop() - 1
-    degrees = {n // s for n in valence.values()}
+    degrees = {n // s for n in valence}
     if len(degrees) != 1:
         return GqVerdict(None, f"lines per point vary: {sorted(degrees)}")
     for li in inside:

@@ -134,7 +134,7 @@ def _classify_quad(g: Geometry, members: list[int], m: int, one_point) -> QuadRe
     ``one_point`` holds the one-point mask of each of them, read off
     ``adjacency``: inside a subspace it agrees with the induced geometry's.
     """
-    verdict: GqVerdict = _gq_axioms(g, m, _lines_inside(g, members, m), g.adjacency, one_point)
+    verdict: GqVerdict = _gq_axioms(g, members, m, _lines_inside(g, members, m), g.adjacency, one_point)
     pts = frozenset(members)
     if verdict.order == (2, 1):
         return QuadRecord(pts, "grid21", verdict.order)
@@ -172,30 +172,68 @@ def enumerate_quads(g: Geometry) -> list[QuadRecord]:
     """Convex closures of all distance-2 pairs with >= 2 common neighbours,
     each distinct closure classified once, in order of its sorted points.
 
-    The pairs are read off ``g.common_counts``: for each point ``x``, its
-    later points at distance 2 with a count of 2 or more.  Pair ``j`` sets
-    bit ``j`` of both its points' seed masks, and one
-    :func:`nearhex.geometry._closure_groups` pass closes every pair and
-    returns each distinct closure once.  Every such pair is closed, also
-    when it lies in a quad already found: skipping it would assume the
-    uniqueness of quads that this checks.  The pairs come in order of
-    their first point ``x``, so ``x``'s own seeds are consecutive bits, set
-    as one block.  Every line lies in several quads, so each line's
-    one-point mask is worked out once, on ``adjacency``, for all of them;
-    the groups are sorted by their member lists, which are sorted already.
+    The closures are seeded by line pairs, not point pairs.  For a point
+    ``x`` and a later point ``y`` at distance 2, take the first two lines
+    through ``x``, in ``g.lines_by_point[x]`` order, that hold a common
+    neighbour ``c_i``, ``c_j`` of ``x`` and ``y``; the seed is the union of
+    the two lines.  In a near polygon, checked first, the seed has the
+    closure of ``x, y``, by the definition of closure alone:
+
+    - each ``c_i`` lies in the interval of ``x`` and ``y``, so the closure
+      of ``x, y`` holds ``x`` and ``c_i`` and so the whole line ``x c_i``;
+    - ``c_i`` and ``c_j`` are not collinear, or ``c_j`` would be collinear
+      with two points of the line ``x c_i``, so they lie at distance 2 with
+      common neighbour ``y``, and the closure of the two lines holds ``y``.
+
+    A line through ``x`` holds at most one common neighbour of such a pair,
+    for the same reason, so a pair with one line has one common neighbour
+    and is no quad pair.  No uniqueness of quads is assumed: every pair
+    still gets a seed with its own closure, and all of ``x``'s partners
+    with the same first two lines share one seed bit.  Per point ``x``,
+    ``reach[i]`` is the later points off ``x``'s perp that are collinear
+    with a point of its ``i``-th line; walking ``i`` upward, ``rest`` keeps
+    the points whose first line is ``i``, and a later line ``j`` that meets
+    ``rest`` makes ``(i, j)`` a seed and takes its points out of ``rest``.
+    One :func:`nearhex.geometry._closure_groups` pass closes every seed and
+    returns each distinct closure once.  Every line lies in several quads,
+    so each line's one-point mask is worked out once, on ``adjacency``, for
+    all of them; the groups are sorted by their member lists, which are
+    sorted already.
     """
     if not check_np(g).ok:
         raise GeometryError("quad enumeration expects a near polygon")
+    adj, perps, lines = g.adjacency, g.perps, g.lines
+    # per line, the points collinear with one of its points
+    line_reach = []
+    for line in lines:
+        r = 0
+        for p in line:
+            r |= adj[p]
+        line_reach.append(r)
     held = [0] * g.point_count
     bit = 1
-    for x, counts in enumerate(g.common_counts):
-        first = bit
-        # the count masks are disjoint, so this is the points of count >= 2
-        for y in bits_of(sum(counts.values()) - counts.get(1, 0)):
-            held[y] |= bit
-            bit <<= 1
-        held[x] |= bit - first
-    one_point = _one_point_masks(g, g.adjacency, range(len(g.lines)))
+    for x, through in enumerate(g.lines_by_point):
+        later = ~perps[x] & -2 << x
+        reach = [line_reach[i] & later for i in through]
+        seeds = [0] * len(through)  # per line, the bits of the seeds holding it
+        reached = 0
+        for i, r in enumerate(reach):
+            rest = r & ~reached
+            reached |= r
+            for j in range(i + 1, len(reach)):
+                if not rest:
+                    break
+                hit = rest & reach[j]
+                if hit:
+                    rest ^= hit
+                    seeds[i] |= bit
+                    seeds[j] |= bit
+                    bit <<= 1
+        for i, s in zip(through, seeds):
+            if s:
+                for p in lines[i]:
+                    held[p] |= s
+    one_point = _one_point_masks(g, adj, range(len(lines)))
     groups = sorted(_closure_groups(g, held), key=itemgetter(0))
     return [_classify_quad(g, members, m, one_point) for members, m, _ in groups]
 

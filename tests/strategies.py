@@ -1,7 +1,7 @@
 """Hypothesis strategies and helpers shared by the differential tests."""
 
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -18,6 +18,41 @@ def small_geometries(draw):
         return Geometry(n, ())
     line = st.lists(st.integers(0, n - 1), min_size=2, max_size=4, unique=True)
     return Geometry(n, tuple(draw(st.lists(line, max_size=10))))
+
+
+def line_product(sizes):
+    """The product of lines of the given sizes, as ``(point_count, lines)``:
+    its points are the tuples of coordinates, numbered in increasing
+    order, and its lines vary one coordinate."""
+    points = list(product(*(range(s) for s in sizes)))
+    index = {p: i for i, p in enumerate(points)}
+    lines = [
+        [index[p[:k] + (v,) + p[k + 1 :]] for v in range(size)]
+        for k, size in enumerate(sizes)
+        for p in points
+        if p[k] == 0
+    ]
+    return len(points), lines
+
+
+@st.composite
+def small_near_polygons(draw):
+    """A product of one to three lines of 2 or 3 points, with a second one
+    glued on at a point or not, relabeled.  Products of near polygons are
+    near polygons (Brouwer & Wilbrink, *Geom. Dedicata*, 1983), and so is
+    the union of two glued at a point; the quads are the products of two
+    of the lines, and pairs across the glued point have one common
+    neighbour at most."""
+    factors = st.lists(st.integers(2, 3), min_size=1, max_size=3)
+    n, lines = line_product(draw(factors))
+    if draw(st.booleans()):
+        m, more = line_product(draw(factors))
+        at = draw(st.integers(0, n - 1))
+        # the second product's point 0 becomes point ``at``
+        lines += [[at if q == 0 else n + q - 1 for q in line] for line in more]
+        n += m - 1
+    perm = draw(st.permutations(range(n)))
+    return Geometry(n, tuple(tuple(perm[p] for p in line) for line in lines))
 
 
 def distance_two_pairs(g):

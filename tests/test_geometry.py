@@ -1,5 +1,7 @@
 """Core incidence primitives, checked on W(2) and small handmade geometries."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,33 @@ def test_validate_pls_flags_double_line():
     (pair, li, lj), = verdict.violations
     assert pair == (0, 1)
     assert (li, lj) == (0, 1)
+
+
+def test_validate_pls_flags_lines_sharing_two_points_apart():
+    # lines 0 and 1 share the points 1 and 3, which are not adjacent on
+    # either line as listed, and line 2 shares only point 4 with line 1
+    g = Geometry(6, ((0, 1, 2, 3), (1, 3, 4), (4, 5)))
+    assert validate_pls(g) == (False, (((1, 3), 0, 1),))
+
+
+def pls_violations_by_pairs(g):
+    """Each pair of points on a second line, with the first line holding
+    it, by walking every line's pairs in order."""
+    first, out = {}, []
+    for i, line in enumerate(g.lines):
+        for pair in combinations(line, 2):
+            if pair in first:
+                out.append((pair, first[pair], i))
+            else:
+                first[pair] = i
+    return tuple(out)
+
+
+@given(small_geometries())
+@settings(max_examples=100, deadline=None)
+def test_validate_pls_matches_the_pair_walk(g):
+    violations = pls_violations_by_pairs(g)
+    assert validate_pls(g) == (not violations, violations)
 
 
 def test_validate_pls_accepts_h3(h3):

@@ -11,7 +11,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nearhex.verify
@@ -24,6 +24,7 @@ from nearhex import (
     enumerate_quads,
     is_subspace,
     line_distance_profiles,
+    metrics,
     validate_pls,
 )
 from nearhex.acceptance import run_acceptance
@@ -31,7 +32,7 @@ from nearhex.cli import MODELS, main
 from nearhex.geometry import UNREACHABLE, _closure_groups, bits_of
 from nearhex.iso import relabel
 
-from strategies import distance_two_pairs, gq24, small_geometries
+from strategies import distance_two_pairs, gq24, small_geometries, small_near_polygons
 from test_closures import reference_convex_closures
 
 
@@ -416,6 +417,29 @@ def test_convex_closures_at_points_whose_neighbourhood_is_not_clean(lines):
     assert convex_closures(g, seeds) == [closure_oracle(g, s, closed) for s in seeds]
 
 
+def line_pair_seeds(g):
+    """The seeds of ``enumerate_quads``, by brute force: per pair ``x < y``
+    at distance 2 with >= 2 common neighbours, the union of the first two
+    lines through ``x``, in ``lines_by_point`` order, that hold a common
+    neighbour of the pair; each distinct union once, sorted."""
+    adj = g.adjacency
+    seeds = set()
+    for x, y, common in distance_two_pairs(g):
+        if common >= 2:
+            i, j = [
+                li for li in g.lines_by_point[x] if any(adj[y] >> p & 1 for p in g.lines[li])
+            ][:2]
+            seeds.add(tuple(sorted({*g.lines[i], *g.lines[j]})))
+    return sorted(seeds)
+
+
+def quad_pair_closures(g):
+    """The distinct reference closures of the distance-2 pairs with >= 2
+    common neighbours."""
+    pairs = [(x, y) for x, y, common in distance_two_pairs(g) if common >= 2]
+    return set(reference_convex_closures(g, pairs))
+
+
 def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
     calls = []
     real = nearhex.verify._closure_groups
@@ -425,24 +449,34 @@ def test_enumerate_quads_closes_every_qualifying_pair(h3, dsp, monkeypatch):
         return real(g, held)
 
     monkeypatch.setattr(nearhex.verify, "_closure_groups", recording)
-    for g, pair_count in ((dsp, 3780), (h3, 2310)):
+    for g, pair_count, seed_count in ((dsp, 3780, 811), (h3, 2310, 636)):
         calls.clear()
         quads = enumerate_quads(g)
-        rows, adj = g.distance_rows, g.adjacency
-        qualifying = [
-            (x, y)
-            for x, y in combinations(range(g.point_count), 2)
-            if rows[x][y] == 2 and (adj[x] & adj[y]).bit_count() >= 2
-        ]
-        assert len(qualifying) == pair_count
+        assert sum(common >= 2 for _, _, common in distance_two_pairs(g)) == pair_count
         assert len(calls) == 1
         # each seed bit, decoded into the points that hold it
         seeds = [[] for _ in range(max(h.bit_length() for h in calls[0]))]
         for p, h in enumerate(calls[0]):
             for j in bits_of(h):
                 seeds[j].append(p)
-        assert sorted(map(tuple, seeds)) == qualifying
+        assert sorted(map(tuple, seeds)) == line_pair_seeds(g)
+        assert len(seeds) == seed_count
+        closures = quad_pair_closures(g)
+        assert len(closures) == 63
+        assert {r.points for r in quads} == closures
         assert len(quads) == 63
+
+
+@given(st.one_of(small_geometries(), small_near_polygons()))
+@settings(max_examples=60, deadline=None)
+def test_enumerate_quads_matches_the_pair_closures_on_small_geometries(g):
+    # the random near polygons have thin lines, points on one line and
+    # points with one common-neighbour line, but seldom a quad; the line
+    # products have quads of 4, 6 and 9 points, with lines of one size or
+    # of two, and pairs with one common neighbour across a glued point
+    assume(metrics(g).connected and check_np(g).ok)
+    quads = enumerate_quads(g)
+    assert [sorted(r.points) for r in quads] == sorted(map(sorted, quad_pair_closures(g)))
 
 
 def test_enumerate_quads_skips_pairs_with_one_common_neighbour():

@@ -9,6 +9,7 @@ of it cross-checked by a from-scratch brute-force script.
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -321,6 +322,28 @@ def test_quad_double_counting(h3, dsp):
     assert h3_d2 == 35 * 18 + 28 * 60
     dsp_d2 = sum(row.count(2) for row in dsp.distance_rows) // 2
     assert dsp_d2 == 3780 == 63 * 60
+
+
+def test_local_spaces(w2, h3, dsp, h3_partitions, h3_debruyn):
+    """Every two lines through a point lie in exactly one quad record, and
+    each point lies in the same quads on each model: the local space at a
+    point, its lines and the quads through it, is the same linear space
+    everywhere (Shult & Yanushka, *Geom. Dedicata*, 1980)."""
+    shapes = (
+        (w2, {"gq22": 1}),
+        (h3, {"gq22": 4, "grid21": 3}),
+        (h3_partitions, {"gq22": 4, "grid21": 3}),
+        (h3_debruyn, {"gq22": 4, "grid21": 3}),
+        (dsp, {"gq22": 7}),
+    )
+    for g, shape in shapes:
+        records = enumerate_quads(g)
+        for x, through in enumerate(g.lines_by_point):
+            mine = [r for r in records if x in r.points]
+            assert Counter(r.kind for r in mine) == shape
+            for i, j in combinations(through, 2):
+                pair = {*g.lines[i], *g.lines[j]}
+                assert sum(pair <= r.points for r in mine) == 1
 
 
 def test_h3_case_analysis(h3):
